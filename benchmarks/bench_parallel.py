@@ -1,12 +1,13 @@
 """Serial-vs-parallel scaling of the fault-parallel engine.
 
 Times the two fan-out stages of the pipeline -- fault simulation and
-Monte-Carlo power grading -- at increasing ``n_jobs``, compares the
-cone-restricted engine against the unrestricted one on the same
-campaign, verifies the results stay bit-identical, and records the
-wall-clock table in ``benchmarks/results/parallel.txt``.  On a
-single-core host the parallel rows only show process overhead; the
-bit-identity assertions are the point there.
+Monte-Carlo power grading -- at increasing ``n_jobs``, times the grading
+block kernel against its serial reference (a loop of
+``monte_carlo_power`` per fault, the grading audit's reference path),
+verifies the results stay bit-identical, and records the wall-clock
+table in ``benchmarks/results/parallel.txt``.  Rows with more jobs than
+host cores are marked ``oversubscribed``: they only show process
+overhead, and the bit-identity assertions are the point there.
 """
 
 import os
@@ -14,10 +15,13 @@ import time
 
 import numpy as np
 
+from repro.core.checkpoint import fault_key
 from repro.core.grading import grade_sfr_faults
 from repro.core.pipeline import controller_fault_universe
 from repro.hls.system import NormalModeStimulus, hold_masks
 from repro.logic.faultsim import fault_simulate
+from repro.power.estimator import PowerEstimator
+from repro.power.montecarlo import monte_carlo_power
 from repro.store.cache import CampaignStore
 from repro.store.fingerprint import netlist_fingerprint, stage_key
 from repro.tpg.tpgr import TPGR
@@ -27,7 +31,7 @@ from _config import MC_BATCH, MC_MAX_BATCHES, PATTERNS
 JOB_COUNTS = (1, 2, 4)
 
 
-def _fault_sim_once(system, n_jobs, store=None, cone_sim=True, audit_rate=None):
+def _fault_sim_once(system, n_jobs, store=None):
     tpgr = TPGR(system.rtl.dfg.inputs, system.rtl.width, seed=0xACE1)
     data = {k: np.asarray(v) for k, v in tpgr.generate(PATTERNS).items()}
     stim = NormalModeStimulus(system, data, system.cycles_for(4))
@@ -41,7 +45,6 @@ def _fault_sim_once(system, n_jobs, store=None, cone_sim=True, audit_rate=None):
             netlist_fingerprint(system.netlist),
             {"bench": "parallel", "patterns": PATTERNS},
         )
-    kwargs = {} if audit_rate is None else {"audit_rate": audit_rate}
     t0 = time.perf_counter()
     result = fault_simulate(
         system.netlist,
@@ -52,23 +55,43 @@ def _fault_sim_once(system, n_jobs, store=None, cone_sim=True, audit_rate=None):
         n_jobs=n_jobs,
         store=store,
         store_key=store_key,
-        cone_sim=cone_sim,
-        **kwargs,
     )
     return time.perf_counter() - t0, result
 
 
+def _grades(grading):
+    return [(g.power_uw, g.pct_change, g.group) for g in grading.graded]
+
+
 def test_parallel_scaling(systems, pipelines, save_result, save_json, tmp_path):
     system = systems["diffeq"]
+    host_cores = os.cpu_count()
     lines = [
         "parallel scaling (diffeq)",
-        f"host cores: {os.cpu_count()}",
+        f"host cores: {host_cores}",
         "",
         f"{'stage':<16}{'n_jobs':>8}{'wall s':>10}{'speedup':>10}",
     ]
 
-    metrics = {"bench": "parallel", "design": "diffeq", "host_cores": os.cpu_count(),
+    metrics = {"bench": "parallel", "design": "diffeq", "host_cores": host_cores,
                "patterns": PATTERNS, "stages": []}
+
+    def stage_row(stage, n_jobs, elapsed, base_time, n_faults):
+        over = n_jobs > host_cores
+        lines.append(
+            f"{stage:<16}{n_jobs:>8}{elapsed:>10.2f}{base_time / elapsed:>10.2f}"
+            + ("  (oversubscribed)" if over else "")
+        )
+        metrics["stages"].append(
+            {
+                "stage": stage,
+                "n_jobs": n_jobs,
+                "wall_s": elapsed,
+                "faults_per_s": n_faults / elapsed,
+                "oversubscribed": over,
+            }
+        )
+
     base_time, base_result = None, None
     for n_jobs in JOB_COUNTS:
         elapsed, result = _fault_sim_once(system, n_jobs)
@@ -76,18 +99,9 @@ def test_parallel_scaling(systems, pipelines, save_result, save_json, tmp_path):
             base_time, base_result = elapsed, result
         assert result.verdicts == base_result.verdicts
         assert result.detect_cycle == base_result.detect_cycle
-        lines.append(
-            f"{'fault_sim':<16}{n_jobs:>8}{elapsed:>10.2f}{base_time / elapsed:>10.2f}"
-        )
-        metrics["stages"].append(
-            {
-                "stage": "fault_sim",
-                "n_jobs": n_jobs,
-                "wall_s": elapsed,
-                "faults_per_s": len(result.verdicts) / elapsed,
-            }
-        )
+        stage_row("fault_sim", n_jobs, elapsed, base_time, len(result.verdicts))
 
+    sfr_records = pipelines["diffeq"].sfr_records
     base_time, base_grading = None, None
     for n_jobs in JOB_COUNTS:
         t0 = time.perf_counter()
@@ -102,59 +116,44 @@ def test_parallel_scaling(systems, pipelines, save_result, save_json, tmp_path):
         if base_grading is None:
             base_time, base_grading = elapsed, grading
         assert grading.fault_free_uw == base_grading.fault_free_uw
-        assert [
-            (g.power_uw, g.pct_change, g.group) for g in grading.graded
-        ] == [(g.power_uw, g.pct_change, g.group) for g in base_grading.graded]
-        lines.append(
-            f"{'grading':<16}{n_jobs:>8}{elapsed:>10.2f}{base_time / elapsed:>10.2f}"
-        )
-        metrics["stages"].append(
-            {
-                "stage": "grading",
-                "n_jobs": n_jobs,
-                "wall_s": elapsed,
-                "faults_per_s": len(pipelines["diffeq"].sfr_records) / elapsed,
-            }
-        )
+        assert _grades(grading) == _grades(base_grading)
+        stage_row("grading", n_jobs, elapsed, base_time, len(sfr_records))
 
-    # Grading kernel: the serial per-fault reference vs the block-parallel
-    # kernel, flat and cone-restricted, all bit-identical by contract.
-    n_sfr = len(pipelines["diffeq"].sfr_records)
-    kernel_rows = {}
-    for label, kwargs in (
-        ("serial", dict(batched=False)),
-        ("batched_flat", dict(batched=True, cone_power=False)),
-        ("batched_cone", dict(batched=True, cone_power=True)),
-    ):
-        t0 = time.perf_counter()
-        grading = grade_sfr_faults(
-            system,
-            pipelines["diffeq"],
-            batch_patterns=MC_BATCH,
-            max_batches=MC_MAX_BATCHES,
-            audit_rate=0.0,
-            **kwargs,
-        )
-        elapsed = time.perf_counter() - t0
-        assert grading.fault_free_uw == base_grading.fault_free_uw
-        assert [
-            (g.power_uw, g.pct_change, g.group) for g in grading.graded
-        ] == [(g.power_uw, g.pct_change, g.group) for g in base_grading.graded]
-        kernel_rows[label] = {"wall_s": elapsed, "faults_per_s": n_sfr / elapsed}
+    # Grading kernel vs its serial reference: the block campaign (audits
+    # off) against a loop of monte_carlo_power per fault, bit-identical
+    # by contract.
+    n_sfr = len(sfr_records)
+    mc_kwargs = dict(batch_patterns=MC_BATCH, max_batches=MC_MAX_BATCHES)
+    t0 = time.perf_counter()
+    block = grade_sfr_faults(system, pipelines["diffeq"], audit_rate=0.0, **mc_kwargs)
+    block_s = time.perf_counter() - t0
+    assert _grades(block) == _grades(base_grading)
+    estimator = PowerEstimator(system.netlist)
+    t0 = time.perf_counter()
+    serial = {
+        fault_key(r.system_site): monte_carlo_power(
+            system, estimator, fault=r.system_site, **mc_kwargs
+        ).power_uw
+        for r in sfr_records
+    }
+    serial_s = time.perf_counter() - t0
+    assert all(
+        g.power_uw == serial[fault_key(g.record.system_site)] for g in block.graded
+    )
+    kernel_rows = {
+        "serial": {"wall_s": serial_s, "faults_per_s": n_sfr / serial_s},
+        "block": {"wall_s": block_s, "faults_per_s": n_sfr / block_s},
+    }
 
     fault_sim_fps = next(
         s["faults_per_s"]
         for s in metrics["stages"]
         if s["stage"] == "fault_sim" and s["n_jobs"] == 1
     )
-    grading_fps = kernel_rows["batched_cone"]["faults_per_s"]
-    ratio = fault_sim_fps / grading_fps
+    ratio = fault_sim_fps / kernel_rows["block"]["faults_per_s"]
     metrics["grading_kernel"] = {
         **{f"{k}_{f}": v[f] for k, v in kernel_rows.items() for f in v},
-        "speedup_flat": kernel_rows["serial"]["wall_s"]
-        / kernel_rows["batched_flat"]["wall_s"],
-        "speedup_cone": kernel_rows["serial"]["wall_s"]
-        / kernel_rows["batched_cone"]["wall_s"],
+        "speedup": serial_s / block_s,
         "fault_sim_faults_per_s": fault_sim_fps,
         "fault_sim_to_grading_ratio": ratio,
     }
@@ -175,39 +174,9 @@ def test_parallel_scaling(systems, pipelines, save_result, save_json, tmp_path):
         print(msg)
         lines.append(f"  {msg}")
 
-    # Cone-restricted vs unrestricted engine on the same campaign.  Audits
-    # are disabled so the comparison times the engines themselves, not the
-    # (identical, serial) audit re-simulations both sides would share.
-    cone_on_s = min(
-        _fault_sim_once(system, 1, audit_rate=0.0, cone_sim=True)[0]
-        for _ in range(3)
-    )
-    cone_result = _fault_sim_once(system, 1, audit_rate=0.0, cone_sim=True)[1]
-    cone_off_s = min(
-        _fault_sim_once(system, 1, audit_rate=0.0, cone_sim=False)[0]
-        for _ in range(3)
-    )
-    flat_result = _fault_sim_once(system, 1, audit_rate=0.0, cone_sim=False)[1]
-    assert cone_result.verdicts == flat_result.verdicts == base_result.verdicts
-    assert cone_result.detect_cycle == flat_result.detect_cycle
-    assert cone_result.cone is not None
-    metrics["cone"] = {
-        "cone_wall_s": cone_on_s,
-        "flat_wall_s": cone_off_s,
-        "speedup": cone_off_s / cone_on_s,
-        "evaluated_gate_fraction": cone_result.cone.evaluated_gate_fraction,
-        "early_death_rate": cone_result.cone.early_death_rate,
-    }
-    lines += [
-        "",
-        f"cone engine: flat {cone_off_s:.2f}s -> cone {cone_on_s:.2f}s "
-        f"({cone_off_s / cone_on_s:.2f}x, "
-        f"gate fraction {cone_result.cone.evaluated_gate_fraction:.2f}, "
-        f"early death {cone_result.cone.early_death_rate:.2f}, bit-identical)",
-    ]
-
     # Store replay: publish once cold, then measure the warm hit path and
-    # confirm it stays bit-identical to the simulated baseline.
+    # confirm it stays bit-identical to the simulated baseline.  This is
+    # the fault-sim stage alone, not an end-to-end run.
     store_root = tmp_path / "store"
     cold_s, cold_result = _fault_sim_once(system, 1, store=CampaignStore(store_root))
     warm_store = CampaignStore(store_root)
@@ -218,12 +187,12 @@ def test_parallel_scaling(systems, pipelines, save_result, save_json, tmp_path):
         "cold_wall_s": cold_s,
         "warm_wall_s": warm_s,
         "warm_hit_ratio": warm_store.hit_ratio(),
-        "warm_speedup": cold_s / warm_s if warm_s else None,
+        "warm_faultsim_stage_speedup": cold_s / warm_s if warm_s else None,
         "faults": len(cold_result.verdicts),
     }
     lines += [
         "",
-        f"store replay: cold {cold_s:.2f}s -> warm {warm_s:.3f}s "
+        f"fault-sim stage store replay: cold {cold_s:.2f}s -> warm {warm_s:.3f}s "
         f"(hit ratio {warm_store.hit_ratio():.0%}, bit-identical)",
     ]
 

@@ -359,7 +359,6 @@ def _config(args) -> PipelineConfig:
     return PipelineConfig(
         n_patterns=args.patterns,
         n_jobs=args.jobs,
-        cone_sim=args.cone_sim,
         checkpoint_dir=args.checkpoint_dir,
         resume=args.resume,
         timeout=args.timeout,
@@ -443,8 +442,6 @@ def _cmd_grade(args) -> int:
         strict=args.strict,
         chaos=chaos_engine,
         store=store,
-        batched=args.batched_grading,
-        cone_power=args.cone_power,
         seed_results=seeds,
     )
     _print_campaign(grading.campaign, "grading campaign")
@@ -503,7 +500,6 @@ def _cmd_calibrate(args) -> int:
         resume=args.resume,
         audit_rate=args.audit_rate,
         strict=args.strict,
-        cone_power=args.cone_power,
         store=store,
     )
     _print_campaign(campaign.campaign, "activity campaign")
@@ -621,8 +617,6 @@ def _compute_campaign(args, store: CampaignStore, design: str, threshold: float)
         audit_rate=args.audit_rate,
         strict=args.strict,
         store=store,
-        batched=args.batched_grading,
-        cone_power=args.cone_power,
     )
     return _result_report(store, system, config, result, grading, command="grade")
 
@@ -656,7 +650,6 @@ def _compute_calibrate(args, store: CampaignStore, design: str, params: dict) ->
         resume=args.resume,
         audit_rate=args.audit_rate,
         strict=args.strict,
-        cone_power=args.cone_power,
         store=store,
     )
     return calibrate_report_dict(fleet)
@@ -910,33 +903,6 @@ def main(argv: list[str] | None = None) -> int:
         help="worker processes for per-fault loops (-1 = all cores, capped at "
         "the machine's core count; results are identical for any value -- "
         "see docs/performance.md)",
-    )
-    parser.add_argument(
-        "--cone-sim",
-        action=argparse.BooleanOptionalAction,
-        default=True,
-        help="cone-restricted differential fault simulation: evaluate only "
-        "each fault's sequential fanout cone against the recorded golden "
-        "trace (verdicts are bit-identical either way; default: --cone-sim "
-        "-- see docs/performance.md)",
-    )
-    parser.add_argument(
-        "--batched-grading",
-        action=argparse.BooleanOptionalAction,
-        default=True,
-        help="block-parallel Monte-Carlo grading kernel: every fault of a "
-        "chunk owns one pattern block of a single wide simulation per "
-        "batch (powers are bit-identical either way; default: "
-        "--batched-grading -- see docs/performance.md)",
-    )
-    parser.add_argument(
-        "--cone-power",
-        action=argparse.BooleanOptionalAction,
-        default=True,
-        help="cone-restricted batched grading: simulate only each chunk's "
-        "union fault cone per batch and splice every other counter from "
-        "one fault-free reference run (bit-identical; default: "
-        "--cone-power -- see docs/performance.md)",
     )
     parser.add_argument(
         "--checkpoint-dir",

@@ -53,12 +53,12 @@ from .pipeline import FaultRecord, PipelineResult
 #: journal key of the fault-free Monte-Carlo baseline
 _BASELINE_KEY = "__fault_free__"
 
-#: width cap (in 64-bit words) of one batched grading simulator; bounds
+#: width cap (in 64-bit words) of one block-kernel simulator; bounds
 #: chunk size so a huge SFR universe cannot blow up worker memory (the
 #: cone-engine cap of :mod:`repro.logic.faultsim`, applied to grading).
 _GRADE_MAX_WORDS = 8192
 
-#: target faults per batched grading chunk (before job balancing and the
+#: target faults per block-kernel chunk (before job balancing and the
 #: memory cap); the fixed per-cycle numpy dispatch cost amortizes across
 #: this many pattern blocks.
 _GRADE_CHUNK_FAULTS = 32
@@ -124,9 +124,10 @@ class GradingResult:
 
 
 def _grade_worker(context, fault):
-    """Monte-Carlo one fault against shared precomputed batches (pickles).
+    """Monte-Carlo one machine against shared precomputed batches (pickles).
 
-    The context carries only the campaign knobs -- each worker process
+    Grades the fault-free baseline (``fault=None``).  The context carries
+    only the campaign knobs -- each worker process
     regenerates the packed batch stimuli locally through the
     :func:`~repro.power.montecarlo.shared_batches` memo (bit-identical by
     construction: one RNG stream from one seed), so the pool never pickles
@@ -151,11 +152,14 @@ def _grade_worker(context, fault):
 
 
 def _grade_chunk_worker(context, chunk):
-    """Monte-Carlo a whole fault chunk through the block-parallel kernel.
+    """Monte-Carlo a whole fault chunk through the block kernel (pickles).
 
     One wide simulation per Monte-Carlo batch for every still-unconverged
     fault of the chunk; per-fault results are bit-identical to
-    :func:`_grade_worker` on the same knobs.
+    :func:`~repro.power.montecarlo.monte_carlo_power` on the same knobs.
+    The context is :func:`_grade_worker`'s plus a capture flag: the fleet
+    layer's activity campaign sets it to keep each result's per-batch
+    counters.
     """
     (
         system,
@@ -164,7 +168,7 @@ def _grade_chunk_worker(context, chunk):
         batch_patterns,
         max_batches,
         iterations_window,
-        cone_power,
+        capture_activity,
     ) = context
     batches = shared_batches(
         system,
@@ -180,8 +184,24 @@ def _grade_chunk_worker(context, chunk):
         max_batches=max_batches,
         iterations_window=iterations_window,
         batches=batches,
-        cone_power=cone_power,
+        capture_activity=capture_activity,
     )
+
+
+def _grade_chunks(sites: list, batch_patterns: int, n_jobs: int) -> list[list]:
+    """Order-preserving fault chunks for :func:`_grade_chunk_worker`.
+
+    Chunk width balances the job count, targets _GRADE_CHUNK_FAULTS blocks
+    for numpy-dispatch amortization, and is capped so the worker's
+    ``len(chunk) * num_words(batch_patterns)``-word simulator stays within
+    _GRADE_MAX_WORDS.
+    """
+    jobs = max(1, resolve_n_jobs(n_jobs))
+    wpb = V.num_words(batch_patterns)
+    size = max(
+        1, min(-(-len(sites) // jobs), _GRADE_CHUNK_FAULTS, _GRADE_MAX_WORDS // wpb)
+    )
+    return [sites[i : i + size] for i in range(0, len(sites), size)]
 
 
 def grade_sfr_faults(
@@ -202,27 +222,22 @@ def grade_sfr_faults(
     strict: bool = False,
     chaos=None,
     store: CampaignStore | None = None,
-    batched: bool = True,
-    cone_power: bool = True,
     seed_results: dict[str, "MonteCarloResult"] | None = None,
 ) -> GradingResult:
     """Monte-Carlo grade every SFR fault of a pipeline result.
 
     Each random batch is generated and packed once (``shared_batches``)
     and replayed for the fault-free baseline and every SFR fault.  Faults
-    are graded in block-parallel chunks by default (``batched=True``):
-    each fault of a chunk owns one pattern block of a single wide
-    simulator, so every Monte-Carlo batch is one compiled-netlist pass
-    for the whole chunk instead of one simulator per fault per batch,
-    and ``cone_power=True`` additionally restricts each batch to the
-    chunk's union fault cone (fault power = golden power + cone counter
-    delta).  Both are pure performance levers -- powers, convergence
-    histories, journals and store fingerprints are bit-identical to the
-    per-fault path (``batched=False``), which is retained as the
-    differential-audit reference; campaigns whose ``batch_patterns`` is
-    not a multiple of 64 fall back to it automatically.  The chunks fan
-    out across ``n_jobs`` processes with bit-identical powers regardless
-    of job count.  With ``checkpoint_dir`` set, the baseline and every
+    are graded in chunks on the block kernel
+    (:func:`~repro.power.montecarlo.monte_carlo_power_block`): each fault
+    of a chunk owns one pattern block of a single wide simulator
+    restricted to the chunk's union fault cone (fault power = golden
+    power + cone counter delta).  Powers and convergence histories are
+    bit-identical to the per-fault
+    :func:`~repro.power.montecarlo.monte_carlo_power`, which is the
+    differential-audit reference.  The chunks fan out across ``n_jobs``
+    processes with bit-identical powers regardless of job count.  With
+    ``checkpoint_dir`` set, the baseline and every
     per-fault result are journaled as they complete, and a rerun with
     ``resume=True`` replays journaled powers bit-identically instead of
     recomputing them.
@@ -360,60 +375,23 @@ def grade_sfr_faults(
             f"{ceiling_uw:.6g} uW); a poisoned baseline poisons every grade"
         )
     if not store_hit and todo:
-        todo_sites = [r.system_site for r in todo]
-        use_block = batched and batch_patterns % V.WORD_BITS == 0
+        items = _grade_chunks([r.system_site for r in todo], batch_patterns, n_jobs)
 
-        def _journal_fault(site, mc) -> None:
-            key = fault_key(site)
-            if chaos is not None:
-                mc = chaos.tamper_power(key, mc)
-            mc_by_key[key] = mc
-            if journal is not None:
-                journal.record(key, mc.to_json_dict())
+        def _journal_chunk(chunk_items, chunk_results) -> None:
+            for sites, mcs in zip(chunk_items, chunk_results):
+                for site, mc in zip(sites, mcs):
+                    key = fault_key(site)
+                    if chaos is not None:
+                        mc = chaos.tamper_power(key, mc)
+                    mc_by_key[key] = mc
+                    if journal is not None:
+                        journal.record(key, mc.to_json_dict())
 
-        if use_block:
-            # Block-parallel kernel: order-preserving fault chunks, each
-            # graded in one wide simulation per Monte-Carlo batch.  Chunk
-            # width balances the job count, targets _GRADE_CHUNK_FAULTS
-            # blocks for numpy-dispatch amortization, and is capped so
-            # the ``len(chunk) * batch_patterns``-wide worker simulator
-            # stays within _GRADE_MAX_WORDS.
-            jobs = max(1, resolve_n_jobs(n_jobs))
-            wpb = batch_patterns // V.WORD_BITS
-            size = max(
-                1,
-                min(
-                    -(-len(todo_sites) // jobs),
-                    _GRADE_CHUNK_FAULTS,
-                    _GRADE_MAX_WORDS // wpb,
-                ),
-            )
-            items = [
-                todo_sites[i : i + size]
-                for i in range(0, len(todo_sites), size)
-            ]
-            worker, run_context = _grade_chunk_worker, (*context, cone_power)
-
-            def _journal_chunk(chunk_items, chunk_results) -> None:
-                for sites, mcs in zip(chunk_items, chunk_results):
-                    for site, mc in zip(sites, mcs):
-                        _journal_fault(site, mc)
-
-        else:
-            items = todo_sites
-            worker, run_context = _grade_worker, context
-
-            def _journal_chunk(sites, results) -> None:
-                for site, mc in zip(sites, results):
-                    _journal_fault(site, mc)
-
+        worker, run_context = _grade_chunk_worker, (*context, False)
         if chaos is not None:
             worker, run_context = chaos.wrap(worker, run_context)
         executor = ParallelExecutor(
-            n_jobs,
-            chunk_size=1 if use_block else None,
-            timeout=timeout,
-            max_retries=max_retries,
+            n_jobs, chunk_size=1, timeout=timeout, max_retries=max_retries
         )
         executor.run(worker, items, run_context, on_chunk=_journal_chunk)
         assert executor.last_report is not None

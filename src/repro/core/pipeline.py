@@ -49,10 +49,6 @@ class PipelineConfig:
     #: worker processes for the per-fault simulation loop (1 = serial,
     #: negative = one per core); results are identical for any value.
     n_jobs: int = 1
-    #: run the fault simulation on the cone-restricted differential
-    #: engine (see :mod:`repro.logic.cones`); a pure performance knob --
-    #: verdicts are bit-identical either way.
-    cone_sim: bool = True
     #: directory for crash-safe campaign journals (None disables
     #: checkpointing); see :mod:`repro.core.checkpoint`.
     checkpoint_dir: str | None = None
@@ -77,7 +73,7 @@ class PipelineConfig:
     def fingerprint_params(self) -> dict:
         """The result-relevant knobs that key a campaign checkpoint.
 
-        Audit, strict, chaos and cone_sim knobs are deliberately absent:
+        Audit, strict and chaos knobs are deliberately absent:
         none of them changes the results of a clean campaign, so toggling
         them must not orphan an existing journal (or miss a warm store
         entry).
@@ -292,7 +288,6 @@ def run_pipeline(
             observe=observe,
             valid_masks=masks,
             n_jobs=config.n_jobs,
-            cone_sim=config.cone_sim,
             timeout=config.timeout,
             max_retries=config.max_retries,
             checkpoint=journal,
@@ -360,7 +355,6 @@ def run_pipeline(
             observe=observe,
             valid_masks=masks,
             n_jobs=config.n_jobs,
-            cone_sim=config.cone_sim,
             timeout=config.timeout,
             max_retries=config.max_retries,
             checkpoint=journal,

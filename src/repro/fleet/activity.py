@@ -29,11 +29,10 @@ import numpy as np
 
 from ..core.checkpoint import fault_key
 from ..core.errors import CampaignError, IntegrityError, validate_netlist
-from ..core.grading import _BASELINE_KEY, _GRADE_CHUNK_FAULTS, _GRADE_MAX_WORDS
-from ..core.parallel import ParallelExecutor, RunReport, resolve_n_jobs
+from ..core.grading import _BASELINE_KEY, _grade_chunk_worker, _grade_chunks
+from ..core.parallel import ParallelExecutor, RunReport
 from ..core.pipeline import PipelineResult
 from ..hls.system import System
-from ..logic import values as V
 from ..power.estimator import PowerEstimator
 from ..power.montecarlo import (
     DATAPATH_TAG,
@@ -45,7 +44,7 @@ from ..power.montecarlo import (
     MonteCarloResult,
     mc_campaign_params,
     monte_carlo_power,
-    monte_carlo_power_block,
+    monte_carlo_power_block,  # noqa: F401 -- perfbench/tracing.py patches it here
     shared_batches,
 )
 from ..store.cache import CampaignStore, StageProvenance, StageTimer
@@ -155,41 +154,6 @@ def _verify_result(
         )
 
 
-def _activity_chunk_worker(context, chunk):
-    """Capture-enabled block Monte-Carlo over one fault chunk (pickles).
-
-    Mirrors :func:`repro.core.grading._grade_chunk_worker`: the context
-    carries only knobs, batches regenerate through the ``shared_batches``
-    memo in each worker process.
-    """
-    (
-        system,
-        estimator,
-        seed,
-        batch_patterns,
-        max_batches,
-        iterations_window,
-        cone_power,
-    ) = context
-    batches = shared_batches(
-        system,
-        seed=seed,
-        batch_patterns=batch_patterns,
-        max_batches=max_batches,
-        iterations_window=iterations_window,
-    )
-    return monte_carlo_power_block(
-        system,
-        estimator,
-        chunk,
-        max_batches=max_batches,
-        iterations_window=iterations_window,
-        batches=batches,
-        cone_power=cone_power,
-        capture_activity=True,
-    )
-
-
 def activity_store_key(system: System, pipeline_result: PipelineResult, mc_params: dict) -> str:
     """Content-addressed key of one design's activity campaign artifact."""
     sfr_keys = [fault_key(r.system_site) for r in pipeline_result.sfr_records]
@@ -211,7 +175,6 @@ def activity_campaign(
     n_jobs: int = 1,
     timeout: float | None = None,
     max_retries: int = 2,
-    cone_power: bool = True,
     store: CampaignStore | None = None,
 ) -> ActivityCampaign:
     """Converged activity matrices for the fault-free machine + every SFR fault.
@@ -290,15 +253,8 @@ def activity_campaign(
     sites = [r.system_site for r in records]
     report = RunReport(n_items=len(records))
     if sites:
-        # Chunk exactly like the grading kernel: balance the job count,
-        # amortize numpy dispatch, cap worker simulator width.
-        jobs = max(1, resolve_n_jobs(n_jobs))
-        wpb = max(1, batch_patterns // V.WORD_BITS)
-        size = max(
-            1,
-            min(-(-len(sites) // jobs), _GRADE_CHUNK_FAULTS, _GRADE_MAX_WORDS // wpb),
-        )
-        items = [sites[i : i + size] for i in range(0, len(sites), size)]
+        # The grading campaign's chunks and worker, with capture on.
+        items = _grade_chunks(sites, batch_patterns, n_jobs)
         context = (
             system,
             estimator,
@@ -306,7 +262,7 @@ def activity_campaign(
             batch_patterns,
             max_batches,
             iterations_window,
-            cone_power,
+            True,
         )
 
         def _collect(chunk_items, chunk_results) -> None:
@@ -319,7 +275,7 @@ def activity_campaign(
         executor = ParallelExecutor(
             n_jobs, chunk_size=1, timeout=timeout, max_retries=max_retries
         )
-        executor.run(_activity_chunk_worker, items, context, on_chunk=_collect)
+        executor.run(_grade_chunk_worker, items, context, on_chunk=_collect)
         assert executor.last_report is not None
         report = executor.last_report
         report.n_items = len(records)

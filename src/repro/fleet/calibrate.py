@@ -111,7 +111,6 @@ def calibrate_fleet(
     resume: bool = False,
     audit_rate: float = DEFAULT_AUDIT_RATE,
     strict: bool = False,
-    cone_power: bool = True,
     store: CampaignStore | None = None,
 ) -> tuple[FleetResult, ActivityCampaign, GradingResult]:
     """Calibrate one design's fleet threshold; returns (fleet, activity, grading).
@@ -135,7 +134,6 @@ def calibrate_fleet(
         n_jobs=n_jobs,
         timeout=timeout,
         max_retries=max_retries,
-        cone_power=cone_power,
         store=store,
     )
     grading = grade_sfr_faults(

@@ -199,7 +199,7 @@ def compute_cones(
 def chunk_by_cone(
     faults: list[FaultSite],
     cones: dict[FaultSite, FaultCone],
-    batch_faults: int,
+    capacity: int,
     netlist: Netlist,
     key,
 ) -> list[list[FaultSite]]:
@@ -210,7 +210,7 @@ def chunk_by_cone(
     their sites sit, keeping each chunk's union cone close to its
     members' own cones (ordering by site depth first was measurably
     worse: faults at one depth can fan out to disjoint halves of the
-    machine) -- then sliced into ``batch_faults``-sized chunks.  The
+    machine) -- then sliced into ``capacity``-sized chunks.  The
     ordering is a pure scheduling choice: per-fault verdicts are
     independent of chunk composition, so results are bit-identical to any
     other chunking (``tests/test_cones.py`` asserts this).
@@ -231,5 +231,5 @@ def chunk_by_cone(
         return (len(sig), sig, site_depth, key(fault))
 
     ordered = sorted(faults, key=order)
-    size = max(1, batch_faults)
+    size = max(1, capacity)
     return [ordered[i : i + size] for i in range(0, len(ordered), size)]

@@ -21,18 +21,20 @@ A *stimulus* is any object with ``n_patterns``, ``n_cycles`` and an
 ``apply(sim, cycle)`` method that drives the primary inputs for the given
 cycle.  Observation happens after ``settle()`` each cycle.
 
-Campaigns default to the *cone-restricted differential* engine
-(``cone_sim=True``): the fault-free run records its full per-cycle net
-planes once (:class:`GoldenTrace`), each chunk of faults evaluates only
-the gates in the union of its sequential fanout cones
-(:mod:`repro.logic.cones`) while every other net is replayed from the
-golden trace, faults whose cone misses the observed outputs are reported
-without simulating, and *fault-effect death pruning* retires a fault the
-moment its divergence frontier empties and its site can never be excited
-again.  All of it is a pure performance lever -- verdicts are
-bit-identical to the serial and block-parallel paths (see
-docs/performance.md for the soundness argument; ``tests/test_cones.py``
-and the differential audit enforce it).
+Campaigns run on one engine, the *cone-restricted differential* engine:
+the fault-free run records its full per-cycle net planes once
+(:class:`GoldenTrace`), each chunk of faults evaluates only the gates in
+the union of its sequential fanout cones (:mod:`repro.logic.cones`) while
+every other net is replayed from the golden trace, faults whose cone
+misses the observed outputs are reported without simulating, and
+*fault-effect death pruning* retires a fault the moment its divergence
+frontier empties and its site can never be excited again.  Each fault
+owns a block of ``num_words(n_patterns)`` words; the padding bits of an
+unaligned pattern count stay X in every plane, so every pattern count
+takes the same path.  :func:`simulate_one_fault` is the independent
+serial reference: the differential audit re-derives a hash-selected
+subset of verdicts through it (see docs/performance.md for the soundness
+argument; ``tests/test_cones.py`` and the audit enforce bit-identity).
 """
 
 from __future__ import annotations
@@ -87,16 +89,14 @@ class ConeStats:
     """Work-avoidance accounting of a cone-restricted campaign.
 
     ``cycles``/``gate_evals`` count what the cone engine actually
-    simulated; ``cycles_full``/``gate_evals_full`` count what the
-    unrestricted block-parallel engine would have simulated for the same
-    chunks (it evaluates every gate for every fault block each cycle and
-    only stops early once every fault in a chunk is detected).  Gate
-    counts are block-weighted -- one unit is one gate evaluated for one
-    fault's pattern block in one cycle -- so block retirement (a detected
-    or dead fault's block compacted out of the wide simulator) shows up
-    in the fraction alongside cone restriction.  The counterfactual is
-    exact: both engines detect at identical cycles, so a chunk with any
-    non-detected fault would have run the full stimulus at full width.
+    simulated.  ``cycles_full``/``gate_evals_full`` are the full-netlist
+    work per block for the same chunks: every gate for every fault block
+    each cycle, stopping early only once every fault in a chunk is
+    detected.  They are a yardstick, not a live engine.  Gate counts are
+    block-weighted -- one unit is one gate evaluated for one fault's
+    pattern block in one cycle -- so block retirement (a detected or dead
+    fault's block compacted out of the wide simulator) shows up in the
+    fraction alongside cone restriction.
     """
 
     faults: int = 0
@@ -153,10 +153,9 @@ class FaultSimResult:
     detect_cycle: dict[FaultSite, int] = field(default_factory=dict)
     #: resilience summary of the fan-out (None for fully resumed runs)
     campaign: RunReport | None = None
-    #: cone-engine work accounting (None when the cone path did not run --
-    #: store replays, fully resumed campaigns, ``cone_sim=False``);
-    #: never part of the published store payload, so fingerprinted
-    #: results are byte-identical with the cone engine on or off.
+    #: cone-engine work accounting (None when no chunk ran -- store
+    #: replays, fully resumed campaigns); never part of the published
+    #: store payload or of any result report.
     cone: ConeStats | None = None
 
     def by_verdict(self, verdict: Verdict) -> list[FaultSite]:
@@ -257,57 +256,6 @@ def simulate_one_fault(
     return (Verdict.POTENTIAL if potential else Verdict.UNDETECTED), -1
 
 
-class _TiledSim:
-    """Drive adapter replicating one stimulus across fault blocks.
-
-    Presents the ``n_patterns`` of the original stimulus while tiling every
-    drive across the ``n_blocks`` pattern blocks of a wide block-parallel
-    simulator, so any :class:`Stimulus` works with the batched engine
-    unmodified.
-    """
-
-    def __init__(self, sim: CycleSimulator, n_patterns: int, n_blocks: int):
-        self._sim = sim
-        self._reps = n_blocks
-        self.n_patterns = n_patterns
-        self.words = V.num_words(n_patterns)
-        self.mask = V.tail_mask(n_patterns)
-
-    def drive_words(self, net: int, zero: np.ndarray, one: np.ndarray) -> None:
-        self._sim.drive_words(
-            net,
-            np.tile(zero & self.mask, self._reps),
-            np.tile(one & self.mask, self._reps),
-        )
-
-    def drive(self, net: int, bits) -> None:
-        one = V.pack_bits(np.asarray(bits, dtype=np.uint8))
-        self.drive_words(net, ~one & self.mask, one & self.mask)
-
-    def drive_const(self, net: int, value: int) -> None:
-        zeros = np.zeros(self.words, dtype=self.mask.dtype)
-        if value:
-            self.drive_words(net, zeros, self.mask)
-        else:
-            self.drive_words(net, self.mask, zeros)
-
-    def drive_bus(self, nets: list[int], words) -> None:
-        """Drive a bus (LSB first), tiled across every fault block.
-
-        Mirrors :meth:`CycleSimulator.drive_bus`'s range guard: data that
-        does not fit the bus would silently alias to its low bits in
-        every block, so it is rejected loudly instead.
-        """
-        vals = np.asarray(words, dtype=np.int64)
-        if vals.size and (vals.min() < 0 or vals.max() >> len(nets)):
-            raise ValueError(
-                f"bus value out of range for {len(nets)}-bit bus: "
-                f"min={vals.min()}, max={vals.max()}"
-            )
-        for i, net in enumerate(nets):
-            self.drive(net, (vals >> i) & 1)
-
-
 class _ChunkOutcomes(list):
     """A chunk's (verdict, cycle) list plus out-of-band engine stats.
 
@@ -359,12 +307,15 @@ def _restrict_to_cone(compiled: CompiledNetlist, union_gates: set[int]):
     return sub_levels, seq_subs, row_maps
 
 
-def _excite_from(planes: list[np.ndarray], fault: FaultSite) -> np.ndarray:
+def _excite_from(
+    planes: list[np.ndarray], fault: FaultSite, mask: np.ndarray
+) -> np.ndarray:
     """Per-cycle bool: can the golden machine excite ``fault`` at >= t?
 
     The fault forces value ``v`` at its site net; it is *excited* in a
     cycle when any pattern's fault-free site value is not known-``v``
-    (an X counts -- it could differ on silicon).  ``out[t]`` is True when
+    (an X counts -- it could differ on silicon; the padding bits outside
+    ``mask`` are not patterns and never count).  ``out[t]`` is True when
     any cycle ``t' >= t`` is excited.  The death check runs after the
     clock edge of cycle ``t`` and indexes ``out[t + 1]``: the state
     comparison has already absorbed anything cycle ``t``'s forces did
@@ -376,7 +327,7 @@ def _excite_from(planes: list[np.ndarray], fault: FaultSite) -> np.ndarray:
     pending = False
     for t in range(n_cycles - 1, -1, -1):
         known = planes[t][1 if fault.value else 0, fault.net]
-        pending = pending or bool((~known).any())
+        pending = pending or bool((~known & mask).any())
         out[t] = pending
     return out
 
@@ -398,17 +349,19 @@ class _ConeSim:
         faults: list[FaultSite],
         cones,
         observe: list[int],
-        wpb: int,
+        n_patterns: int,
         has_masks: bool,
         count_toggles: bool = False,
     ):
         self.n_blocks = n_b = len(faults)
-        self.wpb = wpb
+        self.wpb = wpb = V.num_words(n_patterns)
         blocks = [(b * wpb, (b + 1) * wpb) for b in range(n_b)]
         # ``count_toggles`` arms the per-block counters for the Monte-Carlo
         # power kernel: the restricted schedule never calls ``settle()``
         # (the power kernel counts its union-net toggles itself), but
         # ``latch_groups`` accumulates per-block DFFE load events.
+        # Every block is padded to whole words; the tiled per-block tail
+        # mask keeps the padding bits X in every plane.
         self.sim = sim = CycleSimulator(
             netlist,
             n_b * wpb * V.WORD_BITS,
@@ -416,6 +369,7 @@ class _ConeSim:
             fault_blocks=blocks,
             count_toggles=count_toggles,
             toggle_blocks=n_b if count_toggles else None,
+            mask=np.tile(V.tail_mask(n_patterns), n_b),
         )
         union_gates = set().union(*(cones[f].gates for f in faults))
         union_nets = set().union(*(cones[f].nets for f in faults))
@@ -484,8 +438,7 @@ class _ConeSim:
         # walks a python dict of per-block slices -- a few hundred tiny
         # assignments per call once a whole campaign shares one chunk.
         # Precompute flat (row, word-column) scatter indices per forced
-        # value; full-word masks are exact because the cone engine only
-        # runs when the pattern count is a multiple of the word size.
+        # value, plus the tail-mask words those columns force.
         stem_idx: dict[int, tuple[list[int], list[np.ndarray]]] = {
             0: ([], []),
             1: ([], []),
@@ -500,9 +453,11 @@ class _ConeSim:
         self._stem_scatter = {}
         for val, (rows, cols) in stem_idx.items():
             if rows:
+                flat_cols = np.concatenate(cols)
                 self._stem_scatter[val] = (
                     np.array(rows, dtype=np.int64),
-                    np.concatenate(cols),
+                    flat_cols,
+                    sim.mask[flat_cols],
                 )
         # Route every later stem re-force (mid-settle reapply points and
         # the post-latch re-force inside ``latch_groups``) through the
@@ -512,16 +467,15 @@ class _ConeSim:
     def apply_stems(self) -> None:
         """Equivalent of ``sim._apply_stems()`` in four scatter writes."""
         sim = self.sim
-        ones = np.uint64(0xFFFFFFFFFFFFFFFF)
         hit = self._stem_scatter.get(1)
         if hit is not None:
-            rows, cols = hit
+            rows, cols, mask = hit
             sim.Z[rows, cols] = 0
-            sim.O[rows, cols] = ones
+            sim.O[rows, cols] = mask
         hit = self._stem_scatter.get(0)
         if hit is not None:
-            rows, cols = hit
-            sim.Z[rows, cols] = ones
+            rows, cols, mask = hit
+            sim.Z[rows, cols] = mask
             sim.O[rows, cols] = 0
 
     def run_cycle(self, plane: np.ndarray, state: np.ndarray) -> None:
@@ -619,7 +573,7 @@ def _cone_chunk_worker(
     golden: GoldenTrace,
     valid_masks,
     chunk: list[FaultSite],
-    cones=None,
+    cones,
 ) -> _ChunkOutcomes:
     """Cone-restricted differential simulation of one fault chunk.
 
@@ -643,8 +597,6 @@ def _cone_chunk_worker(
     """
     n_cycles = stimulus.n_cycles
     compiled = compile_netlist(netlist)
-    if cones is None:
-        cones = compute_cones(netlist, chunk)
     total_gates = sum(
         len(g.gate_idx) for level in compiled.levels for g in level
     ) + sum(len(g.gate_idx) for g in compiled.seq_groups)
@@ -667,18 +619,20 @@ def _cone_chunk_worker(
         "gate_evals_full": 0,
     }
     if not sim_idx:
-        # every fault is structurally unobservable; the unrestricted
-        # engine would still have simulated the full stimulus
+        # every fault is structurally unobservable; a full simulation
+        # would still have run the full stimulus
         stats["cycles_full"] = n_cycles
         stats["gate_evals_full"] = n_cycles * total_gates * len(chunk)
         return _ChunkOutcomes(outcomes, stats)
 
     sim_faults = [chunk[i] for i in sim_idx]
-    wpb = stimulus.n_patterns // V.WORD_BITS
+    n_patterns = stimulus.n_patterns
+    wpb = V.num_words(n_patterns)
     planes = golden.planes
     assert planes is not None
     n_total = len(sim_faults)
-    excite_from = np.stack([_excite_from(planes, f) for f in sim_faults])
+    tail = V.tail_mask(n_patterns)
+    excite_from = np.stack([_excite_from(planes, f, tail) for f in sim_faults])
 
     detect_cycle = np.full(n_total, -1, dtype=np.int64)
     potential = np.zeros(n_total, dtype=bool)
@@ -687,7 +641,13 @@ def _cone_chunk_worker(
 
     active = np.arange(n_total)  # sim block -> index into sim_faults
     cs = _ConeSim(
-        netlist, compiled, sim_faults, cones, observe, wpb, valid_masks is not None
+        netlist,
+        compiled,
+        sim_faults,
+        cones,
+        observe,
+        n_patterns,
+        valid_masks is not None,
     )
     state = np.zeros((2, len(cs.state_rows), n_total * wpb), dtype=np.uint64)
 
@@ -707,7 +667,7 @@ def _cone_chunk_worker(
                 [sim_faults[i] for i in active[keep]],
                 cones,
                 observe,
-                wpb,
+                n_patterns,
                 valid_masks is not None,
             )
             state = narrower.compact_state(state, cs, keep)
@@ -750,10 +710,9 @@ def _cone_chunk_worker(
         else:
             outcomes[i] = (Verdict.UNDETECTED, -1)
     stats["dead"] = [sim_idx[b] for b in range(n_total) if dead[b]]
-    # Exact counterfactual: the unrestricted engine early-exits only when
-    # every fault of the chunk is detected (at the same cycles -- the
-    # engines are bit-identical), otherwise it runs the full stimulus,
-    # every gate, every block.
+    # Full-netlist yardstick: a full simulation of the chunk early-exits
+    # only when every fault is detected (at the same cycles), otherwise it
+    # runs the full stimulus, every gate, every block.
     all_detected = all(v == Verdict.DETECTED for v, _ in outcomes)
     legacy_iters = iters if all_detected else n_cycles
     stats["cycles"] = iters
@@ -763,88 +722,12 @@ def _cone_chunk_worker(
     return _ChunkOutcomes(outcomes, stats)
 
 
-def _fault_chunk_worker(context, chunk: list[FaultSite]) -> list[tuple[Verdict, int]]:
-    """Simulate a chunk of faults in one block-parallel pass (pickles).
-
-    Fault ``i`` of the chunk owns pattern block ``i`` of a simulator that is
-    ``len(chunk)`` times wider than the stimulus; its stem/poison forces are
-    confined to that block.  Bit positions are independent simulations, so
-    every block reproduces the standalone faulted run bit-for-bit while the
-    per-cycle numpy work is shared by the whole chunk.
-
-    When the campaign enabled cone simulation (context carries the flag
-    and a full :class:`GoldenTrace`), the chunk runs on the
-    cone-restricted differential engine instead -- same verdicts, a
-    fraction of the work.  Pattern counts that are not a multiple of 64
-    fall back to the serial reference in either mode.
-    """
-    netlist, stimulus, observe, golden, valid_masks = context[:5]
-    cone = len(context) > 5 and bool(context[5])
-    cones = context[6] if len(context) > 6 else None
-    if (
-        cone
-        and getattr(golden, "planes", None) is not None
-        and stimulus.n_patterns % V.WORD_BITS == 0
-    ):
-        return _cone_chunk_worker(
-            netlist, stimulus, observe, golden, valid_masks, chunk, cones
-        )
-    if len(chunk) == 1 or stimulus.n_patterns % V.WORD_BITS:
-        return [
-            simulate_one_fault(netlist, f, stimulus, observe, golden, valid_masks)
-            for f in chunk
-        ]
-    n_obs = len(observe)
-    wpb = stimulus.n_patterns // V.WORD_BITS  # words per fault block
-    n_blocks = len(chunk)
-    blocks = [(i * wpb, (i + 1) * wpb) for i in range(n_blocks)]
-    sim = CycleSimulator(
-        netlist,
-        n_blocks * stimulus.n_patterns,
-        faults=list(chunk),
-        fault_blocks=blocks,
+def _fault_chunk_worker(context, chunk: list[FaultSite]) -> _ChunkOutcomes:
+    """Pool entry point: run one fault chunk on the cone engine (pickles)."""
+    netlist, stimulus, observe, golden, valid_masks, cones = context
+    return _cone_chunk_worker(
+        netlist, stimulus, observe, golden, valid_masks, chunk, cones
     )
-    tiled = _TiledSim(sim, stimulus.n_patterns, n_blocks)
-    detect_cycle = np.full(n_blocks, -1, dtype=np.int64)
-    potential = np.zeros(n_blocks, dtype=bool)
-    # Preallocated tiled golden/mask buffers (broadcast-filled per cycle;
-    # np.tile used to allocate three fresh arrays every cycle).
-    gz_t = np.empty((n_obs, n_blocks * wpb), dtype=np.uint64)
-    go_t = np.empty_like(gz_t)
-    vm_t = (
-        np.empty(n_blocks * wpb, dtype=np.uint64) if valid_masks is not None else None
-    )
-    for cycle in range(stimulus.n_cycles):
-        stimulus.apply(tiled, cycle)
-        sim.settle()
-        gz, go = golden[cycle]
-        gz_t.reshape(n_obs, n_blocks, wpb)[:] = gz[:, None, :]
-        go_t.reshape(n_obs, n_blocks, wpb)[:] = go[:, None, :]
-        fz = sim.Z[observe]
-        fo = sim.O[observe]
-        diff = (gz_t & fo) | (go_t & fz)
-        maybe = (gz_t | go_t) & ~(fz | fo)
-        if valid_masks is not None:
-            vm_t.reshape(n_blocks, wpb)[:] = valid_masks[cycle][None, :]
-            diff &= vm_t
-            maybe &= vm_t
-        live = detect_cycle < 0
-        hit = diff.reshape(n_obs, n_blocks, wpb).any(axis=(0, 2))
-        detect_cycle[live & hit] = cycle
-        live &= ~hit
-        if not live.any():
-            break
-        potential |= live & maybe.reshape(n_obs, n_blocks, wpb).any(axis=(0, 2))
-        sim.latch()
-    out: list[tuple[Verdict, int]] = []
-    for i in range(n_blocks):
-        if detect_cycle[i] >= 0:
-            out.append((Verdict.DETECTED, int(detect_cycle[i])))
-        elif potential[i]:
-            out.append((Verdict.POTENTIAL, -1))
-        else:
-            out.append((Verdict.UNDETECTED, -1))
-    return out
 
 
 def fault_simulate(
@@ -854,8 +737,6 @@ def fault_simulate(
     observe: list[int] | None = None,
     valid_masks: list[np.ndarray] | None = None,
     n_jobs: int = 1,
-    batch_faults: int = 32,
-    cone_sim: bool = True,
     timeout: float | None = None,
     max_retries: int = 2,
     checkpoint: CampaignJournal | None = None,
@@ -868,16 +749,16 @@ def fault_simulate(
 ) -> FaultSimResult:
     """Fault simulation of ``faults`` under ``stimulus``.
 
-    Faults are processed in block-parallel chunks of ``batch_faults`` (one
-    wide simulator per chunk -- see :func:`_fault_chunk_worker`), and the
-    chunks fan out across ``n_jobs`` worker processes.  Verdicts are
-    bit-identical for every combination of the two knobs -- and for any
-    interruption point of a checkpointed campaign, because every per-fault
-    verdict is deterministic and independent.
+    Faults are grouped into cone-overlap-aware chunks (one wide
+    cone-restricted simulator per chunk -- see :func:`_cone_chunk_worker`),
+    and the chunks fan out across ``n_jobs`` worker processes.  Verdicts
+    are bit-identical for every job count -- and for any interruption
+    point of a checkpointed campaign, because every per-fault verdict is
+    deterministic and independent.
 
     A hash-selected ``audit_rate`` fraction of the final verdicts is then
     re-derived through the serial per-fault simulator (an independent
-    code path from the block-parallel workers), with the first few
+    code path from the cone engine), with the first few
     audited faults additionally cross-checked against the scalar
     event-driven engine.  A divergence is flagged as an
     :class:`~repro.core.integrity.IntegrityViolation` on the campaign
@@ -892,13 +773,6 @@ def fault_simulate(
         valid_masks: optional per-cycle pattern masks restricting when the
             tester samples the outputs.
         n_jobs: worker processes; 1 runs serially, negative uses every core.
-        batch_faults: faults per block-parallel pass; 1 disables batching
-            and simulates one fault per (cache-compiled) simulator.
-        cone_sim: run chunks on the cone-restricted differential engine
-            (default).  A pure performance knob -- verdicts, reports and
-            store fingerprints are bit-identical either way.  Campaigns
-            whose pattern count is not a multiple of 64 fall back to the
-            unrestricted engine automatically.
         timeout: per-chunk seconds before a hung worker is killed and the
             chunk retried (see :class:`~repro.core.parallel.ParallelExecutor`).
         max_retries: extra attempts per failed/timed-out chunk.
@@ -970,42 +844,26 @@ def fault_simulate(
     if chaos is not None:
         chaos.set_flip_targets(sorted(audit_keys))
     golden: list | GoldenTrace | None = None
-    cone_active = bool(cone_sim) and stimulus.n_patterns % V.WORD_BITS == 0
-    cone_stats = ConeStats() if cone_active else None
+    cone_stats = ConeStats()
     dead_faults: list[FaultSite] = []
     if todo:
         compile_netlist(netlist)  # warm the shared compile before fanning out
-        golden = run_golden(netlist, stimulus, observe, full=cone_active)
-        cones = compute_cones(netlist, todo) if cone_active else None
-        context = (netlist, stimulus, observe, golden, valid_masks, cone_active, cones)
-        batch_faults = max(1, batch_faults)
-        if cone_active:
-            # Cone-overlap-aware chunking: faults whose cones share gates
-            # land in the same chunk, shrinking each chunk's union cone.
-            # Chunks are auto-widened beyond ``batch_faults`` (fixed numpy
-            # dispatch cost amortizes across blocks), keeping one chunk per
-            # worker for balance and capping the simulator width for memory.
-            jobs = max(1, resolve_n_jobs(n_jobs))
-            wpb = stimulus.n_patterns // V.WORD_BITS
-            capacity = max(batch_faults, -(-len(todo) // jobs))
-            capacity = min(capacity, max(batch_faults, _CONE_MAX_WORDS // wpb))
-            chunks = chunk_by_cone(
-                todo,
-                cones,
-                capacity,
-                netlist,
-                key=lambda f: keys[f],
-            )
-        else:
-            chunks = [
-                list(todo[i : i + batch_faults])
-                for i in range(0, len(todo), batch_faults)
-            ]
+        golden = run_golden(netlist, stimulus, observe, full=True)
+        cones = compute_cones(netlist, todo)
+        context = (netlist, stimulus, observe, golden, valid_masks, cones)
+        # Cone-overlap-aware chunking: faults whose cones share gates land
+        # in the same chunk, shrinking each chunk's union cone.  One chunk
+        # per worker keeps the jobs balanced (fixed numpy dispatch cost
+        # amortizes across blocks); the width cap bounds worker memory.
+        jobs = max(1, resolve_n_jobs(n_jobs))
+        wpb = V.num_words(stimulus.n_patterns)
+        capacity = max(1, min(-(-len(todo) // jobs), _CONE_MAX_WORDS // wpb))
+        chunks = chunk_by_cone(todo, cones, capacity, netlist, key=lambda f: keys[f])
 
         def _journal_chunk(items, results) -> None:
             for chunk, chunk_out in zip(items, results):
                 raw_stats = getattr(chunk_out, "stats", None)
-                if raw_stats is not None and cone_stats is not None:
+                if raw_stats is not None:
                     cone_stats.absorb(raw_stats)
                     dead_faults.extend(chunk[i] for i in raw_stats.get("dead", ()))
                 for fault, (verdict, cycle) in zip(chunk, chunk_out):

@@ -235,6 +235,12 @@ class CycleSimulator:
             would have counted.  This is the counter side of the
             fault-parallel Monte-Carlo power kernel (each fault block
             gets its own power estimate from one wide pass).
+        mask: per-word valid-bit mask replacing ``V.tail_mask(n_patterns)``.
+            Block-parallel engines pad every block to whole words and pass
+            the block tail mask tiled across blocks; constants, drives,
+            stem forces and branch poisons all go through it, so padding
+            bits stay X in every plane and can never detect, toggle or
+            load.
     """
 
     def __init__(
@@ -246,12 +252,13 @@ class CycleSimulator:
         compiled: CompiledNetlist | None = None,
         fault_blocks: list[tuple[int, int] | None] | None = None,
         toggle_blocks: int | None = None,
+        mask: np.ndarray | None = None,
     ):
         self.netlist = netlist
         self.compiled = compiled if compiled is not None else compile_netlist(netlist)
         self.n_patterns = n_patterns
         self.words = V.num_words(n_patterns)
-        self.mask = V.tail_mask(n_patterns)
+        self.mask = V.tail_mask(n_patterns) if mask is None else mask
         self.count_toggles = count_toggles
 
         c = self.compiled

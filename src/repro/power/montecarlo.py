@@ -20,16 +20,16 @@ generate-per-call path for the same seed and batch size.
 regenerate it locally instead of receiving it pickled.)
 
 ``monte_carlo_power_block`` is the fault-parallel campaign kernel: each
-fault of a chunk owns one pattern block of a single wide block-parallel
-simulator, every Monte-Carlo batch is one compiled-netlist pass for the
-whole chunk, per-fault convergence is tracked exactly as the serial loop
+fault of a chunk owns one pattern block of a single wide cone-restricted
+simulator, per-fault convergence is tracked exactly as the serial loop
 does, and converged faults are compacted out of the next batch's
-simulator.  With ``cone_power=True`` each batch additionally applies the
-cone restriction: one fault-free reference run per batch supplies the
-toggle counts of every net outside a fault's sequential fanout cone
-(those nets provably never diverge -- see docs/performance.md), and only
-the chunk's union cone is simulated.  Either way the per-fault
-``MonteCarloResult`` is bit-identical to ``monte_carlo_power``.
+simulator.  One fault-free reference run per batch supplies the toggle
+counts of every net outside a fault's sequential fanout cone (those nets
+provably never diverge -- see docs/performance.md), and only the chunk's
+union cone is simulated.  Blocks are padded to whole words, so any batch
+size takes this path.  The per-fault ``MonteCarloResult`` is
+bit-identical to ``monte_carlo_power``, which stays as the serial
+reference the grading audit recomputes against.
 """
 
 from __future__ import annotations
@@ -43,7 +43,6 @@ import numpy as np
 
 from ..core.errors import IntegrityError
 from ..hls.system import NormalModeStimulus, System
-from ..logic import values as V
 from ..logic.cones import compute_cones
 from ..logic.faults import FaultSite
 from ..logic.simulator import CycleSimulator, compile_netlist
@@ -422,64 +421,6 @@ def monte_carlo_power(
     )
 
 
-class _FlatBlockKernel:
-    """Per-chunk flat (full-netlist) block-parallel power kernel.
-
-    Fault ``b`` owns pattern block ``b`` of a simulator ``len(faults)``
-    times wider than one batch; stem forces and branch poisons are
-    confined to their block, and the per-block toggle/load counters make
-    each block's power exactly what a standalone faulted simulator over
-    the same batch reports.  One instance serves every batch of an
-    unchanged live-fault set (state and counters reset between batches,
-    matching the fresh-simulator-per-batch serial semantics); the driver
-    rebuilds a narrower kernel when convergence compacts faults out.
-    """
-
-    def __init__(
-        self,
-        system: System,
-        estimator: PowerEstimator,
-        faults: list[FaultSite],
-        capture: bool = False,
-    ):
-        self.system = system
-        self.estimator = estimator
-        self.faults = list(faults)
-        self.capture = capture
-        #: per-block counter snapshot of the last ``run`` (capture mode)
-        self.last_counts: tuple[np.ndarray, np.ndarray] | None = None
-        self.sim: CycleSimulator | None = None
-
-    def run(self, stim: NormalModeStimulus, tag_prefix: str | None) -> list[PowerResult]:
-        from ..logic.faultsim import _TiledSim
-
-        n_blocks = len(self.faults)
-        if self.sim is None:
-            wpb = stim.n_patterns // V.WORD_BITS
-            blocks = [(b * wpb, (b + 1) * wpb) for b in range(n_blocks)]
-            self.sim = CycleSimulator(
-                self.system.netlist,
-                n_blocks * stim.n_patterns,
-                faults=self.faults,
-                fault_blocks=blocks,
-                count_toggles=True,
-                toggle_blocks=n_blocks,
-            )
-            self.tiled = _TiledSim(self.sim, stim.n_patterns, n_blocks)
-        else:
-            self.sim.reset_state()
-            self.sim._toggles_rows[:] = 0
-            self.sim.load_events[:] = 0
-        sim = self.sim
-        for cycle in range(stim.n_cycles):
-            stim.apply(self.tiled, cycle)
-            sim.settle()
-            sim.latch()
-        if self.capture:
-            self.last_counts = sim.counter_snapshot()
-        return self.estimator.power_blocks(sim, tag_prefix=tag_prefix)
-
-
 @dataclass
 class _GoldenBatch:
     """Fault-free reference of one batch: per-cycle planes + counters."""
@@ -526,10 +467,12 @@ class _ConeBlockKernel:
     per batch (memoized across chunks) supplies every other counter; the
     chunk simulates just its union cone on the block-parallel
     :class:`~repro.logic.faultsim._ConeSim`, counting toggles per block
-    over the union nets.  Counters are exact integers either way, so the
-    resulting powers are bit-identical to the flat kernel's.  Like
-    :class:`_FlatBlockKernel`, one instance serves every batch of an
-    unchanged live-fault set.
+    over the union nets.  Counters are exact integers, so the resulting
+    powers are bit-identical to a full simulation's.  One instance serves
+    every batch of an unchanged live-fault set (state and counters reset
+    between batches, matching the fresh-simulator-per-batch serial
+    semantics); the driver rebuilds a narrower kernel when convergence
+    compacts faults out.
     """
 
     def __init__(
@@ -549,7 +492,7 @@ class _ConeBlockKernel:
         self.last_counts: tuple[np.ndarray, np.ndarray] | None = None
         self.cs = None
 
-    def _build(self, wpb: int) -> None:
+    def _build(self, n_patterns: int) -> None:
         from ..logic.faultsim import _ConeSim
 
         netlist = self.system.netlist
@@ -560,10 +503,11 @@ class _ConeBlockKernel:
             self.faults,
             self.cones,
             [],
-            wpb,
+            n_patterns,
             False,
             count_toggles=True,
         )
+        wpb = cs.wpb
         self.counted = np.array(sorted(cs.union_nets), dtype=np.int64)
         self.state = np.zeros(
             (2, len(cs.state_rows), n_blocks * wpb), dtype=np.uint64
@@ -574,9 +518,8 @@ class _ConeBlockKernel:
     def run(self, stim: NormalModeStimulus, tag_prefix: str | None) -> list[PowerResult]:
         golden = _golden_batch(self.system, stim)
         n_blocks = len(self.faults)
-        wpb = stim.n_patterns // V.WORD_BITS
         if self.cs is None:
-            self._build(wpb)
+            self._build(stim.n_patterns)
         else:
             self.cs.sim.reset_state()
             self.cs.sim.load_events[:] = 0
@@ -585,7 +528,7 @@ class _ConeBlockKernel:
         cs, counted, state, prev, counts = (
             self.cs, self.counted, self.state, self.prev, self.counts,
         )
-        sim = cs.sim
+        sim, wpb = cs.sim, cs.wpb
         have_prev = False
         for cycle in range(stim.n_cycles):
             cs.run_cycle(golden.planes[cycle], state)
@@ -642,7 +585,6 @@ def monte_carlo_power_block(
     iterations_window: int = MC_DEFAULT_ITERATIONS_WINDOW,
     hold_cycles: int = 3,
     batches: list[NormalModeStimulus] | None = None,
-    cone_power: bool = True,
     capture_activity: bool = False,
 ) -> list[MonteCarloResult]:
     """Monte-Carlo power of a whole fault chunk in block-parallel passes.
@@ -650,18 +592,18 @@ def monte_carlo_power_block(
     Returns one :class:`MonteCarloResult` per fault, bit-identical to
     calling :func:`monte_carlo_power` per fault with the same knobs --
     same ``power_uw``, ``batches``, ``patterns`` and ``history``.  Each
-    batch is one wide simulation over the still-unconverged faults
-    (converged faults are compacted out, exactly mirroring the serial
-    loop's early return), flat or cone-restricted per ``cone_power``.
-    With ``capture_activity=True`` each result also carries its
+    batch is one wide cone-restricted simulation over the
+    still-unconverged faults (converged faults are compacted out, exactly
+    mirroring the serial loop's early return).  With
+    ``capture_activity=True`` each result also carries its
     :class:`ActivityTrace` of per-batch integer counters (the counters
-    the kernels already accumulate -- capture only snapshots them).
+    the kernel already accumulates -- capture only snapshots them).
 
-    Batches whose pattern count is not a multiple of the 64-bit word
-    size cannot be block-partitioned and fall back to the serial
-    per-fault path.  Callers are responsible for keeping chunks small
-    enough for the ``len(faults) * batch_patterns``-wide simulator to
-    fit in memory (the grading layer chunks accordingly).
+    Every fault block is ``num_words(batch_patterns)`` words wide; the
+    padding bits of an unaligned batch stay X, so they never toggle or
+    load.  Callers are responsible for keeping chunks small enough for
+    the wide simulator to fit in memory (the grading layer chunks
+    accordingly).
     """
     faults = list(faults)
     if not faults:
@@ -674,24 +616,6 @@ def monte_carlo_power_block(
     if rel_tol <= 0:
         raise ValueError(f"rel_tol must be positive, got {rel_tol}")
     patterns_per_batch = batches[0].n_patterns if batches else batch_patterns
-    if patterns_per_batch % V.WORD_BITS:
-        return [
-            monte_carlo_power(
-                system,
-                estimator,
-                fault=fault,
-                seed=seed,
-                batch_patterns=batch_patterns,
-                max_batches=max_batches,
-                min_batches=min_batches,
-                rel_tol=rel_tol,
-                iterations_window=iterations_window,
-                hold_cycles=hold_cycles,
-                batches=batches,
-                capture_activity=capture_activity,
-            )
-            for fault in faults
-        ]
     if batches is None:
         rng = np.random.default_rng(seed)
         n_cycles = system.cycles_for(iterations_window, hold_cycles)
@@ -707,7 +631,7 @@ def monte_carlo_power_block(
         def batch_stim(batch: int) -> NormalModeStimulus:
             return batches[batch - 1]
 
-    cones = compute_cones(system.netlist, faults) if cone_power else None
+    cones = compute_cones(system.netlist, faults)
     n_faults = len(faults)
     totals: list[list[float]] = [[] for _ in range(n_faults)]
     history: list[list[float]] = [[] for _ in range(n_faults)]
@@ -737,10 +661,8 @@ def monte_carlo_power_block(
             # still-unconverged fault; an unchanged live set reuses the
             # previous batch's simulator (state reset, counters zeroed).
             live_faults = [faults[i] for i in live]
-            kernel = (
-                _ConeBlockKernel(system, estimator, live_faults, cones, capture_activity)
-                if cone_power
-                else _FlatBlockKernel(system, estimator, live_faults, capture_activity)
+            kernel = _ConeBlockKernel(
+                system, estimator, live_faults, cones, capture_activity
             )
             kernel_live = list(live)
         powers = kernel.run(stim, DATAPATH_TAG)

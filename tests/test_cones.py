@@ -7,15 +7,17 @@ pure performance lever:
   brute-force multi-cycle reachability on randomized netlists, and every
   net that actually diverges in a faulted simulation lies inside the
   computed cone;
-* the behavioural layer -- cone-on and cone-off campaigns produce
-  bit-identical verdicts and detect cycles across designs, batch sizes
-  and job counts, each also matching the serial reference simulator.
+* the behavioural layer -- cone-engine campaigns produce verdicts and
+  detect cycles bit-identical to the serial reference simulator across
+  designs, job counts and word-aligned as well as padded (unaligned)
+  pattern counts.
 """
 
 import numpy as np
 import pytest
 
-from repro.core.pipeline import PipelineConfig
+from repro.core.pipeline import PipelineConfig, controller_fault_universe
+from repro.hls.system import NormalModeStimulus, hold_masks
 from repro.logic.cones import FaultCone, chunk_by_cone, compute_cones
 from repro.logic.faults import enumerate_faults
 from repro.logic.faultsim import (
@@ -28,6 +30,7 @@ from repro.logic.faultsim import (
 from repro.logic.simulator import CycleSimulator
 from repro.netlist.gates import GateType
 from repro.netlist.netlist import Netlist
+from repro.tpg.tpgr import TPGR
 
 
 def _random_netlist(rng: np.random.Generator) -> Netlist:
@@ -167,41 +170,59 @@ class TestChunkByCone:
             )
 
 
+def _facet_setup(system, n_patterns: int):
+    """The ``facet_faultsim_setup`` campaign at any pattern count."""
+    tpgr = TPGR(system.rtl.dfg.inputs, system.rtl.width, seed=0xACE1)
+    data = {k: np.asarray(v) for k, v in tpgr.generate(n_patterns).items()}
+    stim = NormalModeStimulus(system, data, system.cycles_for(3))
+    masks = hold_masks(system, stim)
+    observe = [n for bus in system.output_buses.values() for n in bus]
+    faults = [system.to_system_fault(s) for s in controller_fault_universe(system)]
+    return system, stim, masks, observe, faults
+
+
+def _assert_matches_serial(setup, result):
+    """Every verdict and detect cycle equals the serial reference's."""
+    system, stim, masks, observe, faults = setup
+    golden = run_golden(system.netlist, stim, observe)
+    for fault in faults:
+        verdict, cycle = simulate_one_fault(
+            system.netlist, fault, stim, observe, golden, masks
+        )
+        assert result.verdicts[fault] is verdict
+        assert result.detect_cycle.get(fault, -1) == cycle
+
+
 class TestConeEngineBitIdentity:
-    @pytest.mark.parametrize("batch_faults,n_jobs", [(1, 1), (7, 1), (32, 2)])
-    def test_matches_cone_off_and_serial(
-        self, facet_faultsim_setup, batch_faults, n_jobs
-    ):
+    @pytest.mark.parametrize("stride,n_jobs", [(1, 1), (7, 1), (32, 2), (1, 2)])
+    def test_matches_cone_off_and_serial(self, facet_faultsim_setup, stride, n_jobs):
+        """The cone engine matches the serial reference -- which simulates
+        the whole netlist, i.e. with cone restriction off -- on the full
+        fault universe and on sparse every-``stride``-th subsets, whose
+        smaller chunks pack faults of less overlapping cones."""
         system, stim, masks, observe, faults = facet_faultsim_setup
-        on = fault_simulate(
+        faults = faults[::stride]
+        result = fault_simulate(
             system.netlist, faults, stim, observe=observe, valid_masks=masks,
-            batch_faults=batch_faults, n_jobs=n_jobs, cone_sim=True,
+            n_jobs=n_jobs, audit_rate=0.0,
         )
-        off = fault_simulate(
-            system.netlist, faults, stim, observe=observe, valid_masks=masks,
-            batch_faults=batch_faults, n_jobs=n_jobs, cone_sim=False,
-        )
-        assert on.verdicts == off.verdicts
-        assert on.detect_cycle == off.detect_cycle
-        golden = run_golden(system.netlist, stim, observe)
-        for fault in faults:
-            verdict, cycle = simulate_one_fault(
-                system.netlist, fault, stim, observe, golden, masks
-            )
-            assert on.verdicts[fault] is verdict
-            assert on.detect_cycle.get(fault, -1) == cycle
+        assert result.cone is not None
+        assert result.cone.faults == len(faults)
+        setup = (system, stim, masks, observe, faults)
+        _assert_matches_serial(setup, result)
 
     @pytest.mark.parametrize("fixture", ["diffeq_system", "poly_system"])
     def test_other_designs_match(self, fixture, request):
+        """The strict near-total audit re-derives almost every verdict
+        through the serial reference and aborts on any divergence."""
         from repro.core.pipeline import run_pipeline
 
         system = request.getfixturevalue(fixture)
-        on = run_pipeline(system, PipelineConfig(n_patterns=64, cone_sim=True))
-        off = run_pipeline(system, PipelineConfig(n_patterns=64, cone_sim=False))
-        assert [r.simulation for r in on.records] == [
-            r.simulation for r in off.records
-        ]
-        assert [r.category for r in on.records] == [r.category for r in off.records]
+        result = run_pipeline(
+            system, PipelineConfig(n_patterns=64, audit_rate=0.99, strict=True)
+        )
+        assert result.campaign.audited > 0
+        assert result.campaign.violations == []
 
     def test_cone_stats_populated(self, facet_faultsim_setup):
         system, stim, masks, observe, faults = facet_faultsim_setup
@@ -217,23 +238,25 @@ class TestConeEngineBitIdentity:
         payload = stats.to_json_dict()
         assert payload["gate_evals_full"] == stats.gate_evals_full
 
-    def test_odd_pattern_count_falls_back(self, facet_system):
-        """A pattern count that is not a multiple of 64 silently uses the
-        unrestricted engine (no cone stats, same verdicts)."""
-        from repro.core.pipeline import run_pipeline
-
-        on = run_pipeline(facet_system, PipelineConfig(n_patterns=48, cone_sim=True))
-        off = run_pipeline(facet_system, PipelineConfig(n_patterns=48, cone_sim=False))
-        assert [r.category for r in on.records] == [r.category for r in off.records]
+    @pytest.mark.parametrize("n_patterns", [48, 100])
+    def test_odd_pattern_count_runs_cone_engine(self, facet_system, n_patterns):
+        """A pattern count that is not a multiple of 64 runs the cone
+        engine on padded blocks and matches the serial reference.
+        Death pruning still engages: padding bits never count as a
+        possible excitation."""
+        setup = _facet_setup(facet_system, n_patterns)
+        system, stim, masks, observe, faults = setup
+        result = fault_simulate(
+            system.netlist, faults, stim, observe=observe, valid_masks=masks,
+            audit_rate=0.0,
+        )
+        assert result.cone is not None
+        assert result.cone.faults == len(faults)
+        assert result.cone.dead > 0
+        _assert_matches_serial(setup, result)
 
 
 class TestKnobNeutrality:
-    def test_cone_sim_not_in_fingerprint(self):
-        on = PipelineConfig(cone_sim=True).fingerprint_params()
-        off = PipelineConfig(cone_sim=False).fingerprint_params()
-        assert on == off
-        assert "cone_sim" not in on
-
     def test_golden_trace_is_drop_in_for_list(self):
         z = np.zeros((1, 1), dtype=np.uint64)
         trace = GoldenTrace(observed=[(z, z), (z, z)])

@@ -135,6 +135,24 @@ class TestActivityCampaign:
                 a.activity.load_events, b.activity.load_events
             )
 
+    def test_unaligned_batch_passes_counter_check(
+        self, facet_system, facet_pipeline, facet_estimator
+    ):
+        """96-pattern batches run on padded blocks; every result's counters
+        still recover its scalar power exactly (the campaign's own
+        counter->power check, repeated here explicitly)."""
+        campaign = activity_campaign(
+            facet_system,
+            facet_pipeline,
+            estimator=facet_estimator,
+            **{**MC, "batch_patterns": 96},
+        )
+        assert campaign.campaign.completed == len(campaign.fault_keys) > 0
+        for key in campaign.fault_keys:
+            mc = campaign.by_key[key]
+            assert mc.activity.patterns == 96
+            assert recovered_power_uw(facet_estimator, mc.activity) == mc.power_uw
+
     def test_store_round_trip_replays_without_simulation(
         self, facet_system, facet_pipeline, facet_estimator, tmp_path
     ):

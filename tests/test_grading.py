@@ -1,10 +1,11 @@
 """Tests for Monte-Carlo power grading of SFR faults."""
 
+import numpy as np
 import pytest
 
 import repro.core.parallel as parallel_mod
 from repro.cli import main
-from repro.core.checkpoint import fault_key
+from repro.core.checkpoint import campaign_fingerprint, fault_key, open_journal
 from repro.core.grading import (
     grade_sfr_faults,
     pick_representative,
@@ -14,6 +15,9 @@ from repro.core.grading import (
 from repro.core.pipeline import PipelineConfig, run_pipeline
 from repro.power.estimator import PowerEstimator
 from repro.power.montecarlo import (
+    MC_DEFAULT_ITERATIONS_WINDOW,
+    MC_DEFAULT_SEED,
+    mc_campaign_params,
     monte_carlo_power,
     monte_carlo_power_block,
     shared_batches,
@@ -132,6 +136,19 @@ def _assert_mc_equal(a, b):
     assert a.converged == b.converged
 
 
+def _assert_activity_equal(a, b):
+    """Bit-identical per-batch integer counters (or both absent)."""
+    if a.activity is None or b.activity is None:
+        assert a.activity is None and b.activity is None
+        return
+    assert np.array_equal(a.activity.toggles, b.activity.toggles)
+    assert np.array_equal(a.activity.load_events, b.activity.load_events)
+    assert (a.activity.cycles, a.activity.patterns) == (
+        b.activity.cycles,
+        b.activity.patterns,
+    )
+
+
 def _assert_grading_equal(a, b):
     assert a.fault_free_uw == b.fault_free_uw
     assert len(a.graded) == len(b.graded)
@@ -140,6 +157,14 @@ def _assert_grading_equal(a, b):
         assert ga.power_uw == gb.power_uw
         assert ga.pct_change == gb.pct_change
         assert ga.group == gb.group
+
+
+def _assert_grading_matches(reference, grading):
+    """Every grade equals the serial per-fault reference power."""
+    assert grading.fault_free_uw == reference[None].power_uw
+    assert len(grading.graded) == len(reference) - 1
+    for g in grading.graded:
+        assert g.power_uw == reference[fault_key(g.record.system_site)].power_uw
 
 
 @pytest.fixture
@@ -157,8 +182,10 @@ class TestBlockKernelBitIdentity:
     """monte_carlo_power_block vs the serial per-fault reference."""
 
     @pytest.mark.parametrize("design", ["facet", "diffeq", "poly"])
-    @pytest.mark.parametrize("cone_power", [False, True])
-    def test_matches_serial_per_fault(self, design, cone_power, request):
+    @pytest.mark.parametrize("capture_activity", [False, True])
+    def test_matches_serial_per_fault(self, design, capture_activity, request):
+        """Powers -- and, when captured, every per-batch counter -- equal
+        the serial reference's."""
         system = request.getfixturevalue(f"{design}_system")
         pipeline = request.getfixturevalue(f"{design}_pipeline")
         faults = [r.system_site for r in pipeline.sfr_records][:6]
@@ -167,13 +194,24 @@ class TestBlockKernelBitIdentity:
         kwargs = dict(batch_patterns=64, max_batches=4)
         batches = shared_batches(system, **kwargs)
         block = monte_carlo_power_block(
-            system, est, faults, batches=batches, cone_power=cone_power, **kwargs
+            system,
+            est,
+            faults,
+            batches=batches,
+            capture_activity=capture_activity,
+            **kwargs,
         )
         for fault, got in zip(faults, block):
             ref = monte_carlo_power(
-                system, est, fault=fault, batches=batches, **kwargs
+                system,
+                est,
+                fault=fault,
+                batches=batches,
+                capture_activity=capture_activity,
+                **kwargs,
             )
             _assert_mc_equal(got, ref)
+            _assert_activity_equal(got, ref)
 
     @pytest.mark.parametrize("rel_tol", [0.5, 1e-12])
     def test_early_and_late_convergence(self, facet_system, facet_pipeline, rel_tol):
@@ -183,9 +221,7 @@ class TestBlockKernelBitIdentity:
         faults = [r.system_site for r in facet_pipeline.sfr_records][:4]
         est = PowerEstimator(facet_system.netlist)
         kwargs = dict(batch_patterns=64, max_batches=5, rel_tol=rel_tol)
-        block = monte_carlo_power_block(
-            facet_system, est, faults, cone_power=True, **kwargs
-        )
+        block = monte_carlo_power_block(facet_system, est, faults, **kwargs)
         for fault, got in zip(faults, block):
             ref = monte_carlo_power(facet_system, est, fault=fault, **kwargs)
             _assert_mc_equal(got, ref)
@@ -194,119 +230,141 @@ class TestBlockKernelBitIdentity:
         else:
             assert not any(r.converged for r in block)
 
-    def test_unaligned_batch_falls_back_to_serial(self, facet_system, facet_pipeline):
-        """batch_patterns not a multiple of 64 cannot be block-partitioned;
-        the kernel must hand each fault to the serial path unchanged."""
-        faults = [r.system_site for r in facet_pipeline.sfr_records][:3]
+    @pytest.mark.parametrize("batch_patterns", [32, 96])
+    def test_unaligned_batch_matches_serial(
+        self, facet_system, facet_pipeline, batch_patterns
+    ):
+        """batch_patterns not a multiple of 64 runs on padded blocks: the
+        padding bits never toggle or load, so every counter and power
+        equals the serial reference's.  Every SFR fault runs: the
+        stuck-at-1 load-enable faults are the ones that would load
+        padding bits if a force escaped the tail mask."""
+        faults = [r.system_site for r in facet_pipeline.sfr_records]
         est = PowerEstimator(facet_system.netlist)
-        kwargs = dict(batch_patterns=96, max_batches=3)
+        kwargs = dict(
+            batch_patterns=batch_patterns, max_batches=3, capture_activity=True
+        )
         block = monte_carlo_power_block(facet_system, est, faults, **kwargs)
         for fault, got in zip(faults, block):
-            _assert_mc_equal(
-                got, monte_carlo_power(facet_system, est, fault=fault, **kwargs)
-            )
+            ref = monte_carlo_power(facet_system, est, fault=fault, **kwargs)
+            _assert_mc_equal(got, ref)
+            _assert_activity_equal(got, ref)
 
 
 class TestBatchedGradingBitIdentity:
-    """grade_sfr_faults(batched=True) vs the retained serial path."""
+    """grade_sfr_faults vs the serial per-fault monte_carlo_power."""
+
+    KWARGS = dict(batch_patterns=64, max_batches=3)
 
     @pytest.fixture(scope="class")
-    def serial_grading(self, facet_system, facet_pipeline):
-        return grade_sfr_faults(
-            facet_system,
-            facet_pipeline,
-            batch_patterns=64,
-            max_batches=3,
-            batched=False,
-        )
+    def serial_reference(self, facet_system, facet_pipeline):
+        """Reference power of the baseline (key None) and every SFR fault."""
+        est = PowerEstimator(facet_system.netlist)
+        reference = {None: monte_carlo_power(facet_system, est, **self.KWARGS)}
+        for record in facet_pipeline.sfr_records:
+            reference[fault_key(record.system_site)] = monte_carlo_power(
+                facet_system, est, fault=record.system_site, **self.KWARGS
+            )
+        return reference
 
-    @pytest.mark.parametrize("cone_power", [False, True])
+    @pytest.mark.parametrize("audited", [False, True])
     def test_batched_matches_serial(
-        self, facet_system, facet_pipeline, serial_grading, cone_power
+        self, facet_system, facet_pipeline, serial_reference, audited
     ):
-        batched = grade_sfr_faults(
+        """Grades match the serial reference with the differential audit
+        off (the block kernel alone) and with every fault audited."""
+        grading = grade_sfr_faults(
             facet_system,
             facet_pipeline,
-            batch_patterns=64,
-            max_batches=3,
-            batched=True,
-            cone_power=cone_power,
+            audit_rate=1.0 if audited else 0.0,
+            strict=True,
+            **self.KWARGS,
         )
-        _assert_grading_equal(serial_grading, batched)
+        _assert_grading_matches(serial_reference, grading)
+        n_faults = len(serial_reference) - 1
+        assert grading.campaign.audited == (n_faults if audited else 0)
+        assert grading.campaign.violations == []
 
     @pytest.mark.parametrize("n_jobs", [1, 2, 4])
     def test_bit_identical_across_jobs(
-        self, facet_system, facet_pipeline, serial_grading, multicore, n_jobs
+        self, facet_system, facet_pipeline, serial_reference, multicore, n_jobs
     ):
         batched = grade_sfr_faults(
-            facet_system,
-            facet_pipeline,
-            batch_patterns=64,
-            max_batches=3,
-            n_jobs=n_jobs,
+            facet_system, facet_pipeline, n_jobs=n_jobs, **self.KWARGS
         )
-        _assert_grading_equal(serial_grading, batched)
+        _assert_grading_matches(serial_reference, batched)
 
     def test_resume_serial_journal_into_batched(
-        self, facet_system, facet_pipeline, serial_grading, tmp_path
+        self, facet_system, facet_pipeline, serial_reference, tmp_path
     ):
-        """A checkpoint journal written by the serial path resumes into a
-        batched campaign bit-identically (and vice versa: the journal
-        format carries no kernel fingerprint, only result-relevant knobs)."""
-        kwargs = dict(batch_patterns=64, max_batches=3)
-        grade_sfr_faults(
-            facet_system,
-            facet_pipeline,
-            checkpoint_dir=str(tmp_path),
-            batched=False,
-            **kwargs,
+        """A checkpoint journal holding serial-reference results resumes
+        into the block campaign bit-identically: the journal format
+        carries no kernel fingerprint, only result-relevant knobs."""
+        sfr_keys = [fault_key(r.system_site) for r in facet_pipeline.sfr_records]
+        mc_params = mc_campaign_params(
+            MC_DEFAULT_SEED,
+            self.KWARGS["batch_patterns"],
+            self.KWARGS["max_batches"],
+            MC_DEFAULT_ITERATIONS_WINDOW,
         )
-        # Truncate the journal to the baseline + the first two fault
-        # records: the batched resume replays those and recomputes the
-        # rest through the block kernel.
-        (journal_path,) = tmp_path.glob("grading-*.jsonl")
-        lines = journal_path.read_text().splitlines()
-        journal_path.write_text("\n".join(lines[:4]) + "\n")
+        journal = open_journal(
+            str(tmp_path),
+            "grading",
+            campaign_fingerprint("grading", facet_pipeline.design, sfr_keys, mc_params),
+        )
+        # Baseline + the first two faults, as a killed serial campaign
+        # would have left them; the resume recomputes the rest.
+        journal.record("__fault_free__", serial_reference[None].to_json_dict())
+        for key in sfr_keys[:2]:
+            journal.record(key, serial_reference[key].to_json_dict())
         resumed = grade_sfr_faults(
             facet_system,
             facet_pipeline,
             checkpoint_dir=str(tmp_path),
             resume=True,
-            batched=True,
-            **kwargs,
+            **self.KWARGS,
         )
         assert resumed.campaign.resumed == 2
-        _assert_grading_equal(serial_grading, resumed)
+        _assert_grading_matches(serial_reference, resumed)
 
     def test_warm_store_replay(
-        self, facet_system, facet_pipeline, serial_grading, tmp_path
+        self, facet_system, facet_pipeline, serial_reference, tmp_path
     ):
-        """A batched campaign publishes to the store under the same key the
-        serial path uses; a warm serial rerun replays it bit-identically."""
+        """A cold campaign publishes to the store; a warm rerun replays it
+        bit-identically without simulating."""
         store = CampaignStore(tmp_path / "store")
-        kwargs = dict(batch_patterns=64, max_batches=3)
         cold = grade_sfr_faults(
-            facet_system, facet_pipeline, store=store, batched=True, **kwargs
+            facet_system, facet_pipeline, store=store, **self.KWARGS
         )
+        assert not any(p.hit for p in store.provenance)
         warm = grade_sfr_faults(
-            facet_system, facet_pipeline, store=store, batched=False, **kwargs
+            facet_system, facet_pipeline, store=store, **self.KWARGS
         )
         assert any(p.hit for p in store.provenance)
-        _assert_grading_equal(serial_grading, cold)
+        _assert_grading_matches(serial_reference, cold)
         _assert_grading_equal(cold, warm)
 
     def test_cli_result_json_byte_identical(self, tmp_path):
         """The deterministic --result-json report must not change a byte
-        between the batched kernel and the serial reference path."""
-        batched = tmp_path / "batched.json"
-        serial = tmp_path / "serial.json"
+        when the strict audit re-derives nearly every verdict and power
+        through the serial references."""
+        plain = tmp_path / "plain.json"
+        audited = tmp_path / "audited.json"
         argv = ["--patterns", "64"]
         tail = ["grade", "facet"]
-        assert main([*argv, "--result-json", str(batched), *tail]) == 0
+        assert main([*argv, "--result-json", str(plain), *tail]) == 0
         assert (
             main(
-                [*argv, "--no-batched-grading", "--result-json", str(serial), *tail]
+                [
+                    *argv,
+                    "--audit-rate",
+                    "0.99",
+                    "--strict",
+                    "--result-json",
+                    str(audited),
+                    *tail,
+                ]
             )
             == 0
         )
-        assert batched.read_bytes() == serial.read_bytes()
+        assert plain.read_bytes() == audited.read_bytes()

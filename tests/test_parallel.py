@@ -1,8 +1,8 @@
 """Tests for the parallel execution layer and compile-once engine.
 
 The contract under test: every knob of the compile-once, fault-parallel
-engine -- ``n_jobs``, ``batch_faults``, the per-netlist compile cache --
-is a pure performance lever.  Results must be bit-identical to the
+engine -- ``n_jobs``, the per-netlist compile cache -- is a pure
+performance lever.  Results must be bit-identical to the
 serial, per-fault, freshly-compiled baseline.
 """
 
@@ -14,7 +14,7 @@ import pytest
 from repro.core.grading import grade_sfr_faults
 from repro.core.parallel import ParallelExecutor, resolve_n_jobs
 from repro.hls.system import NormalModeStimulus
-from repro.logic.faultsim import _TiledSim, fault_simulate
+from repro.logic.faultsim import fault_simulate
 from repro.logic.simulator import CycleSimulator, compile_netlist
 
 
@@ -60,33 +60,6 @@ class TestFaultSimParallel:
         )
         assert serial.verdicts == parallel.verdicts
         assert serial.detect_cycle == parallel.detect_cycle
-
-    def test_batched_matches_per_fault(self, facet_faultsim_setup):
-        system, stim, masks, observe, faults = facet_faultsim_setup
-        batched = fault_simulate(
-            system.netlist, faults, stim, observe=observe, valid_masks=masks,
-            batch_faults=32,
-        )
-        per_fault = fault_simulate(
-            system.netlist, faults, stim, observe=observe, valid_masks=masks,
-            batch_faults=1,
-        )
-        assert batched.verdicts == per_fault.verdicts
-        assert batched.detect_cycle == per_fault.detect_cycle
-
-    def test_odd_batch_sizes_match(self, facet_faultsim_setup):
-        """Chunk sizes that do not divide the fault count still agree."""
-        system, stim, masks, observe, faults = facet_faultsim_setup
-        a = fault_simulate(
-            system.netlist, faults[:20], stim, observe=observe, valid_masks=masks,
-            batch_faults=7,
-        )
-        b = fault_simulate(
-            system.netlist, faults[:20], stim, observe=observe, valid_masks=masks,
-            batch_faults=64,
-        )
-        assert a.verdicts == b.verdicts
-        assert a.detect_cycle == b.detect_cycle
 
 
 class TestCompiledNetlistCache:
@@ -164,15 +137,3 @@ class TestDriveBusWidth:
         }
         with pytest.raises(ValueError, match="exceeds"):
             NormalModeStimulus(system, data, system.cycles_for(2))
-
-    def test_tiled_drive_bus_rejects_out_of_range(self, facet_system):
-        """The block-parallel drive adapter mirrors the simulator's guard:
-        out-of-range bus data used to alias silently into every block."""
-        wide = CycleSimulator(facet_system.netlist, 2 * 64)
-        tiled = _TiledSim(wide, 64, 2)
-        bus = next(iter(facet_system.input_buses.values()))
-        too_wide = np.full(64, 1 << len(bus), dtype=np.int64)
-        with pytest.raises(ValueError, match="out of range"):
-            tiled.drive_bus(list(bus), too_wide)
-        with pytest.raises(ValueError, match="out of range"):
-            tiled.drive_bus(list(bus), np.full(64, -1, dtype=np.int64))
