@@ -25,12 +25,15 @@ Design points:
   :class:`StoreLockError`.
 * **Whole-pass maintenance locks.**  :meth:`ArtifactStore.gc` holds the
   exclusive lock for its *entire* mark-and-sweep pass and
-  :meth:`ArtifactStore.verify` (and the fabric scrub built on it) holds
-  a *shared* flock for its entire scan, so an in-flight publish can
-  never interleave with either: a publish's freshly written blob cannot
-  be swept as an orphan between the blob write and the index insert,
-  and a scrub can never mis-count a half-published artifact as a
-  missing replica.
+  :meth:`ArtifactStore.verify` holds a *shared* flock for its entire
+  scan, so an in-flight publish can never interleave with either: a
+  publish's freshly written blob cannot be swept as an orphan between
+  the blob write and the index insert, and a verify can never flag a
+  half-published artifact as a missing blob.
+* **Self-healing index.**  Every connection recreates the schema when
+  ``index.db`` is missing or empty, so a deleted index degrades to an empty
+  store (clean misses, successful publishes) instead of raising
+  ``no such table`` mid-campaign.
 """
 
 from __future__ import annotations
@@ -118,13 +121,24 @@ class ArtifactStore:
         self.root.mkdir(parents=True, exist_ok=True)
         (self.root / "objects").mkdir(exist_ok=True)
         self._db_path = self.root / "index.db"
-        with self._connect() as con:
-            con.executescript(_SCHEMA_SQL)
+        self._connect().close()  # creates the schema on a fresh root
 
     # -------------------------------------------------------------- plumbing
     def _connect(self) -> sqlite3.Connection:
+        """Open the index, (re)creating its schema if ``index.db`` is gone.
+
+        A zero-byte file counts as gone: it is what another process's
+        connect leaves between creating the file and committing the
+        schema, and ``CREATE ... IF NOT EXISTS`` makes the race benign.
+        """
+        try:
+            fresh = self._db_path.stat().st_size == 0
+        except FileNotFoundError:
+            fresh = True
         con = sqlite3.connect(self._db_path, timeout=self.lock_timeout)
         con.row_factory = sqlite3.Row
+        if fresh:
+            con.executescript(_SCHEMA_SQL)
         return con
 
     def _blob_path(self, sha: str) -> Path:
@@ -145,11 +159,6 @@ class ArtifactStore:
         os.replace(tmp, final)
         return sha, len(data)
 
-    def ensure_schema(self) -> None:
-        """(Re)create the index schema; heals a deleted/wiped shard DB."""
-        with self._connect() as con:
-            con.executescript(_SCHEMA_SQL)
-
     # ------------------------------------------------------------ write lock
     def writer(self, timeout: float | None = None) -> "_FileLock":
         """Context manager acquiring the store's exclusive writer lock."""
@@ -159,7 +168,7 @@ class ArtifactStore:
     def reader(self, timeout: float | None = None) -> "_FileLock":
         """Context manager acquiring a *shared* lock on the store.
 
-        Shared holders (verify/scrub passes) coexist with each other and
+        Shared holders (verify passes) coexist with each other and
         with lock-free point reads, but exclude writers for the whole
         pass -- the fix for the gc/verify-vs-publish race: a publish
         that has written its blob but not yet inserted its index row can
@@ -178,7 +187,6 @@ class ArtifactStore:
         design: str = "",
         meta: dict | None = None,
         wall_s: float = 0.0,
-        lock_timeout: float | None = None,
     ) -> str:
         """Store one stage payload under ``key``; returns the blob sha.
 
@@ -188,7 +196,7 @@ class ArtifactStore:
         the timeout.
         """
         data = canonical_json(payload).encode("utf-8")
-        with self.writer(lock_timeout):
+        with self.writer():
             sha, size = self._write_blob(data)
             with self._connect() as con:
                 con.execute(
@@ -208,12 +216,7 @@ class ArtifactStore:
                 )
         return sha
 
-    def put_many(
-        self,
-        rows: list[tuple],
-        wall_s: float = 0.0,
-        lock_timeout: float | None = None,
-    ) -> int:
+    def put_many(self, rows: list[tuple], wall_s: float = 0.0) -> int:
         """Store many ``(kind, key, payload, design, meta)`` rows at once.
 
         One writer lock and one SQLite transaction for the whole batch --
@@ -225,7 +228,7 @@ class ArtifactStore:
         if not rows:
             return 0
         now = time.time()
-        with self.writer(lock_timeout):
+        with self.writer():
             inserts = []
             for kind, key, payload, design, meta in rows:
                 data = canonical_json(payload).encode("utf-8")
@@ -415,7 +418,7 @@ class _FileLock:
                 if time.monotonic() >= deadline:
                     os.close(self._fd)
                     self._fd = None
-                    holder = "writer" if self.shared else "writer or scrubber"
+                    holder = "writer" if self.shared else "writer or verifier"
                     raise StoreLockError(
                         f"another {holder} holds {self.path} "
                         f"(waited {self.timeout:.1f}s)"

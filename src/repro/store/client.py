@@ -6,7 +6,7 @@ not as exceptions to crash on.  Stdlib ``urllib`` only.
 
 * every request carries a **connect/read timeout**;
 * a client may hold **several endpoints** (a list of serve nodes over
-  one fabric).  Within a retry round the endpoints are tried in order:
+  one store).  Within a retry round the endpoints are tried in order:
   a connection failure or retryable HTTP error **fails over** to the
   next endpoint immediately (no backoff inside a round), so a
   SIGKILLed node costs one connect attempt, not a request failure;
@@ -14,10 +14,6 @@ not as exceptions to crash on.  Stdlib ``urllib`` only.
   consecutive failures open it for ``cb_cooldown`` seconds, during
   which it is skipped entirely; when every endpoint is open they are
   all probed anyway (half-open) rather than failing without trying;
-* with ``hedge_delay`` set, **GET**s are hedged: if the first endpoint
-  has not answered within the delay, the next is raced in parallel and
-  the first success wins -- tail latency against a wedged node is
-  capped near the hedge delay;
 * transient failures -- connection refused/reset, request timeouts,
   and any response whose structured body says ``"retryable": true``
   (503 overload, 504 deadline, 5xx) -- are retried across rounds with
@@ -36,7 +32,6 @@ retry schedule and breaker cool-downs without wall-clock waits.
 from __future__ import annotations
 
 import json
-import queue
 import random
 import socket
 import threading
@@ -95,7 +90,6 @@ class StoreClient:
         retry_after_cap: float = DEFAULT_RETRY_AFTER_CAP_S,
         cb_threshold: int = DEFAULT_CB_THRESHOLD,
         cb_cooldown: float = DEFAULT_CB_COOLDOWN_S,
-        hedge_delay: float | None = None,
         sleep: Callable[[float], None] = time.sleep,
         rand: Callable[[], float] = random.random,
         clock: Callable[[], float] = time.monotonic,
@@ -113,7 +107,6 @@ class StoreClient:
         self.retry_after_cap = retry_after_cap
         self.cb_threshold = cb_threshold
         self.cb_cooldown = cb_cooldown
-        self.hedge_delay = hedge_delay
         self._sleep = sleep
         self._rand = rand
         self._clock = clock
@@ -123,8 +116,6 @@ class StoreClient:
         # ---- telemetry (read by tests and callers)
         self.attempts = 0  # lifetime HTTP attempts
         self.failovers = 0  # answers served by a non-first endpoint
-        self.hedged = 0  # hedge launches
-        self.hedge_wins = 0  # hedged request won by the later endpoint
 
     @property
     def base_url(self) -> str:
@@ -223,29 +214,17 @@ class StoreClient:
         last: _Retryable | None = None
         connection_only = True
         for attempt in range(self.max_retries + 1):
-            targets = self._available()
-            if (
-                self.hedge_delay is not None
-                and method == "GET"
-                and len(targets) > 1
-            ):
+            for pos, endpoint in enumerate(self._available()):
                 try:
-                    return self._round_hedged(targets, path, method, body, content_type)
+                    out = self._try_endpoint(endpoint, path, method, body, content_type)
                 except _Retryable as exc:
                     last = exc
                     connection_only = connection_only and exc.status is None
-            else:
-                for pos, endpoint in enumerate(targets):
-                    try:
-                        out = self._try_endpoint(endpoint, path, method, body, content_type)
-                    except _Retryable as exc:
-                        last = exc
-                        connection_only = connection_only and exc.status is None
-                        continue
-                    if pos > 0:
-                        with self._lock:
-                            self.failovers += 1
-                    return out
+                    continue
+                if pos > 0:
+                    with self._lock:
+                        self.failovers += 1
+                return out
             if attempt >= self.max_retries:
                 break
             self._sleep(self._delay(attempt, last.retry_after if last else None))
@@ -262,68 +241,6 @@ class StoreClient:
             f"{method} {where}/{path.lstrip('/')} failed: {last.detail}",
             status=last.status, payload=last.payload,
         )
-
-    def _round_hedged(self, targets: list[str], path: str, method: str,
-                      body: bytes | None, content_type: str) -> Any:
-        """One retry round as a hedged race across ``targets``.
-
-        The first endpoint is asked immediately; every ``hedge_delay``
-        seconds without an answer the next one joins the race.  First
-        success wins; a terminal error from any racer wins too (it is
-        the same answer everywhere).  All-failed raises the last
-        :class:`_Retryable` for the round loop to back off on.
-        """
-        results: queue.Queue = queue.Queue()
-
-        def run(endpoint: str) -> None:
-            try:
-                results.put(("ok", endpoint, self._try_endpoint(
-                    endpoint, path, method, body, content_type)))
-            except _Retryable as exc:
-                results.put(("retryable", endpoint, exc))
-            except RemoteStoreError as exc:
-                results.put(("terminal", endpoint, exc))
-
-        started = 0
-
-        def launch() -> None:
-            nonlocal started
-            threading.Thread(
-                target=run, args=(targets[started],), daemon=True,
-                name=f"client-hedge-{started}",
-            ).start()
-            started += 1
-
-        launch()
-        pending = 1
-        last: _Retryable | None = None
-        while pending:
-            try:
-                status, endpoint, value = results.get(
-                    timeout=self.hedge_delay if started < len(targets) else None
-                )
-            except queue.Empty:
-                with self._lock:
-                    self.hedged += 1
-                launch()
-                pending += 1
-                continue
-            pending -= 1
-            if status == "ok":
-                if endpoint != targets[0]:
-                    with self._lock:
-                        self.failovers += 1
-                        if started > 1:
-                            self.hedge_wins += 1
-                return value
-            if status == "terminal":
-                raise value
-            last = value
-            if pending == 0 and started < len(targets):
-                launch()
-                pending += 1
-        assert last is not None
-        raise last
 
     # --------------------------------------------------------- convenience
     def healthz(self) -> dict:

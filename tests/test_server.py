@@ -7,18 +7,24 @@ backpressure (503 + ``Retry-After`` at queue depth), per-request
 deadlines (504, quarantine, worker slot reclaimed), crash-retry with
 checkpoint resume (bit-identical to a cold single-threaded run),
 graceful drain, structured JSON errors, fail-fast upload validation,
-client retry behavior against a flaky stub server, and the combined
-chaos scenario from the issue's acceptance criteria.
+client retry behavior against a flaky stub server, multi-endpoint
+failover with one of two serve processes SIGKILLed, and the combined
+chaos scenario.
 """
 
 from __future__ import annotations
 
 import json
+import os
+import re
+import subprocess
+import sys
 import threading
 import time
 import urllib.error
 import urllib.request
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
+from pathlib import Path
 
 import pytest
 
@@ -666,23 +672,80 @@ def test_client_all_circuits_open_still_probes(scripted_server):
     assert client.request("stats") == {"ok": True}  # half-open probe served
 
 
-def test_client_hedged_get_winner_selection(scripted_server):
-    """With hedge_delay set, a slow first endpoint is raced against the
-    next replica and the fastest good answer wins."""
-    base_slow, handler_slow = scripted_server([(200, {"who": "slow"}, {}, 1.0)])
-    base_fast, handler_fast = scripted_server([(200, {"who": "fast"}, {})])
-    client = StoreClient(
-        [base_slow, base_fast], hedge_delay=0.05, sleep=lambda s: None
-    )
-    assert client.request("stats") == {"who": "fast"}
-    assert client.hedged == 1 and client.hedge_wins == 1 and client.failovers == 1
-    assert len(handler_fast.hits) == 1
-
-
 def test_client_single_endpoint_base_url_compat():
     client = StoreClient("http://127.0.0.1:8357/")
     assert client.base_url == "http://127.0.0.1:8357"
     assert client.endpoints == ["http://127.0.0.1:8357"]
+
+
+# ----------------------------------------------- kill-a-node (acceptance)
+def _spawn_serve(root: Path) -> tuple[subprocess.Popen, str]:
+    env = dict(os.environ)
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
+    proc = subprocess.Popen(
+        [
+            sys.executable, "-u", "-c",
+            "from repro.cli import main; raise SystemExit(main())",
+            "--store-dir", str(root),
+            "serve", "--port", "0", "--no-compute",
+        ],
+        env=env,
+        stdout=subprocess.PIPE,
+        stderr=subprocess.STDOUT,
+        text=True,
+    )
+    line = proc.stdout.readline()
+    match = re.search(r"on (http://[0-9.]+:\d+)", line)
+    assert match, f"serve did not announce its address: {line!r}"
+    return proc, match.group(1)
+
+
+def test_kill_a_node_zero_failures_bit_identical(tmp_path):
+    """Two serve nodes over one plain store; one is SIGKILLed
+    mid-campaign, yet the multi-endpoint client sees zero failed
+    requests and byte-identical result bodies throughout."""
+    root = tmp_path / "store"
+    _publish(CampaignStore(root), "facet")
+
+    procs = []
+    try:
+        node_a, base_a = _spawn_serve(root)
+        procs.append(node_a)
+        node_b, base_b = _spawn_serve(root)
+        procs.append(node_b)
+        for base in (base_a, base_b):
+            _wait_until(
+                lambda: _fetch(f"{base}/readyz")[1].get("ready"),
+                timeout=30.0, interval=0.05, message=f"{base} ready",
+            )
+
+        client = StoreClient(
+            [base_a, base_b], timeout=10, backoff=0.05, jitter=0.0
+        )
+        url = "campaigns/facet?threshold=0.05"
+        before = json.dumps(
+            client.request(url), indent=2, allow_nan=False
+        ).encode()
+        assert json.loads(before)["design"] == "facet"
+
+        node_a.kill()  # SIGKILL, mid-campaign: no drain, no goodbye
+        node_a.wait(timeout=10)
+        for _ in range(5):
+            after = json.dumps(
+                client.request(url), indent=2, allow_nan=False
+            ).encode()
+            assert after == before  # bit-identical across the failover
+        assert client.failovers >= 1
+
+        # byte-level check straight off the surviving node's socket
+        assert _fetch(f"{base_b}/{url}")[2] == before
+    finally:
+        for proc in procs:
+            if proc.poll() is None:
+                proc.kill()
+            proc.wait(timeout=10)
+            proc.stdout.close()
 
 
 # ------------------------------------------------------- worker supervisor

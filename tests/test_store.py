@@ -3,8 +3,10 @@
 Covers the acceptance surface of the store subsystem: fingerprint
 stability across processes, single-writer exclusion, corrupted-blob
 degradation (recompute, never crash, violation logged), gc safety,
-cold/warm bit-identity at the CLI level, journal retirement, chaos
-quarantine-not-published, and the query/serve layers.
+whole-pass maintenance locks, a deleted index healing to clean misses,
+refusal of retired shard-fabric roots, cold/warm bit-identity at the
+CLI level, journal retirement, chaos quarantine-not-published, and the
+query/serve layers.
 """
 
 from __future__ import annotations
@@ -22,7 +24,12 @@ import pytest
 
 import repro
 from repro.cli import main
-from repro.store.artifacts import ArtifactCorrupt, ArtifactStore, StoreLockError
+from repro.store.artifacts import (
+    ArtifactCorrupt,
+    ArtifactStore,
+    StoreError,
+    StoreLockError,
+)
 from repro.store.cache import CampaignStore
 from repro.store.fingerprint import (
     canonical_json,
@@ -167,6 +174,66 @@ def test_gc_never_deletes_referenced_blobs(tmp_path):
     assert not orphan.exists()
     assert store.get("keep") == {"v": 1}  # referenced artifact untouched
     assert store.verify() == []
+
+
+# --------------------------------------- gc/verify vs publish (shared lock)
+def test_reader_lock_blocks_writers_for_the_whole_pass(tmp_path):
+    store = ArtifactStore(tmp_path / "store", lock_timeout=0.1)
+    store.put("report", digest({"n": 0}), {"n": 0})
+    with store.reader():
+        # a publish cannot land mid-verify: the maintenance pass owns
+        # the store until it releases the shared lock
+        with pytest.raises(StoreLockError):
+            store.put("report", digest({"n": 1}), {"n": 1})
+        # and gc (an exclusive whole-pass writer) cannot start either
+        with pytest.raises(StoreLockError):
+            store.gc()
+
+
+def test_reader_locks_are_shared(tmp_path):
+    store = ArtifactStore(tmp_path / "store", lock_timeout=0.1)
+    store.put("report", digest({"n": 0}), {"n": 0})
+    with store.reader():
+        with store.reader():  # two verifiers coexist
+            assert store.verify() == []
+
+
+def test_writer_lock_blocks_scrub_readers(tmp_path):
+    store = ArtifactStore(tmp_path / "store", lock_timeout=0.1)
+    with store.writer():
+        with pytest.raises(StoreLockError):
+            with store.reader():
+                pass  # pragma: no cover - the acquire raises
+
+
+# ------------------------------------------------------ lost / stale roots
+def test_deleted_index_heals_to_a_clean_miss(tmp_path):
+    """Deleting index.db under a live store loses the cache, not the run:
+    the schema is recreated on the next connection, so lookups are clean
+    misses and publishes land again."""
+    store = CampaignStore(tmp_path / "store")
+    assert store.publish("report", "k", {"v": 1}, design="facet")
+    (tmp_path / "store" / "index.db").unlink()
+    assert store.lookup("report", "k") is None
+    assert store.violations == []  # a lost index is not corruption
+    assert store.publish("report", "k", {"v": 1}, design="facet")
+    assert store.lookup("report", "k") == {"v": 1}
+
+
+def test_retired_fabric_root_is_refused(tmp_path, capsys):
+    """A --store-dir left by the retired shard-fabric layout is refused
+    loudly instead of opening as an empty plain store beside it."""
+    root = tmp_path / "store"
+    (root / "shard-00").mkdir(parents=True)
+    (root / "fabric.json").write_text('{"schema": 1, "shards": 2, "replicas": 2}')
+    with pytest.raises(StoreError, match="retired"):
+        CampaignStore(root)
+    with pytest.raises(SystemExit) as exc_info:
+        main(["--store-dir", str(root), "store", "stats"])
+    assert exc_info.value.code == 2
+    err = capsys.readouterr().err
+    assert "retired" in err and "fresh --store-dir" in err
+    assert not (root / "index.db").exists()  # nothing created beside it
 
 
 # ------------------------------------------------------- CLI cold/warm runs
