@@ -6,8 +6,8 @@ shapes, each with its own exception so callers can react precisely:
 
 * :class:`CampaignError` -- base class; also raised directly by the
   fail-fast validators below when a campaign's inputs are unusable;
-* :class:`WorkerCrash` -- a worker process died (OOM, ``os._exit``,
-  segfault) and recovery was exhausted or disabled;
+* :class:`WorkerCrash` -- a worker died (OOM, ``os._exit``, segfault)
+  and took its work with it (retryable);
 * :class:`ChunkTimeout` -- a chunk of work exceeded its per-chunk budget
   on every allowed attempt;
 * :class:`CheckpointMismatch` -- a checkpoint file does not belong to

@@ -25,10 +25,7 @@ only the chunks whose results were actually lost.  When a chunk's retry
 budget runs out, a timeout raises
 :class:`~repro.core.errors.ChunkTimeout`; a crash or worker exception
 degrades gracefully to one in-process serial replay of the chunk (which
-also surfaces a deterministic error with its real traceback) unless
-``serial_fallback=False``, in which case
-:class:`~repro.core.errors.WorkerCrash` (or the original exception) is
-raised.  Per-chunk outcomes and aggregate retry/crash/timeout counters
+also surfaces a deterministic error with its real traceback).  Per-chunk outcomes and aggregate retry/crash/timeout counters
 land in :class:`RunReport` (``executor.last_report``).
 
 Workers must be module-level functions of ``(context, item)`` so that they
@@ -46,7 +43,7 @@ from concurrent.futures import TimeoutError as FuturesTimeout
 from dataclasses import dataclass, field
 from typing import Any, Callable, Iterable, Sequence
 
-from .errors import ChunkTimeout, WorkerCrash
+from .errors import ChunkTimeout
 
 #: worker-process global holding (worker function, shared context)
 _WORKER_STATE: tuple[Callable, Any] | None = None
@@ -87,7 +84,7 @@ class ChunkOutcome:
     index: int
     n_items: int
     attempts: int = 0
-    #: 'pending' -> 'ok' | 'serial' (in-process fallback) | 'timed-out' | 'failed'
+    #: 'pending' -> 'ok' | 'serial' (in-process fallback) | 'timed-out'
     status: str = "pending"
     #: failure kind per unsuccessful attempt: 'timeout' | 'crash' | 'error'
     failures: list[str] = field(default_factory=list)
@@ -148,12 +145,9 @@ class ParallelExecutor:
             before it is resolved terminally.
         backoff: base of the exponential retry delay -- attempt *k*
             sleeps ``backoff * 2**(k-1)`` seconds before resubmission.
-        serial_fallback: when a chunk exhausts its retries through crashes
-            or worker exceptions, replay it in-process (graceful
-            degradation; deterministic errors then surface with their real
-            traceback).  ``False`` raises
-            :class:`~repro.core.errors.WorkerCrash` / the original
-            exception instead.
+            A chunk that exhausts its retries through crashes or worker
+            exceptions is replayed in-process (graceful degradation;
+            deterministic errors then surface with their real traceback).
     """
 
     def __init__(
@@ -163,14 +157,12 @@ class ParallelExecutor:
         timeout: float | None = None,
         max_retries: int = 2,
         backoff: float = 0.05,
-        serial_fallback: bool = True,
     ):
         self.n_jobs = resolve_n_jobs(n_jobs)
         self.chunk_size = chunk_size
         self.timeout = timeout
         self.max_retries = max(0, max_retries)
         self.backoff = backoff
-        self.serial_fallback = serial_fallback
         #: report of the most recent :meth:`run`
         self.last_report: RunReport | None = None
 
@@ -272,20 +264,20 @@ class ParallelExecutor:
                 for i in pending:
                     outcomes[i].attempts += 1
                 futures = [(i, pool.submit(_run_chunk, chunks[i])) for i in pending]
-                failed: list[tuple[int, str, BaseException | None]] = []
+                failed: list[tuple[int, str]] = []
                 lost: list[int] = []
                 for pos, (i, fut) in enumerate(futures):
                     try:
                         out = fut.result(timeout=self.timeout)
                     except FuturesTimeout:
                         report.timeouts += 1
-                        failed.append((i, "timeout", None))
-                    except BrokenExecutor as exc:
+                        failed.append((i, "timeout"))
+                    except BrokenExecutor:
                         report.crashes += 1
-                        failed.append((i, "crash", exc))
-                    except Exception as exc:
+                        failed.append((i, "crash"))
+                    except Exception:
                         # the worker itself raised; the pool is still healthy
-                        failed.append((i, "error", exc))
+                        failed.append((i, "error"))
                         continue
                     else:
                         complete(i, out)
@@ -301,7 +293,7 @@ class ParallelExecutor:
                             elif isinstance(exc, BrokenExecutor):
                                 lost.append(j)
                             else:
-                                failed.append((j, "error", exc))
+                                failed.append((j, "error"))
                         else:
                             lost.append(j)
                     self._kill_pool(pool)
@@ -313,7 +305,7 @@ class ParallelExecutor:
                 for j in lost:
                     outcomes[j].attempts -= 1
                 pending = list(lost)
-                for i, kind, exc in failed:
+                for i, kind in failed:
                     outcomes[i].failures.append(kind)
                     if outcomes[i].attempts <= self.max_retries:
                         pending.append(i)
@@ -326,16 +318,6 @@ class ParallelExecutor:
                             f"the {self.timeout}s timeout on all "
                             f"{outcomes[i].attempts} attempts"
                         )
-                    if not self.serial_fallback:
-                        outcomes[i].status = "failed"
-                        if kind == "crash":
-                            raise WorkerCrash(
-                                f"chunk {i} ({outcomes[i].n_items} items) lost "
-                                f"its worker on all {outcomes[i].attempts} "
-                                f"attempts: {exc}"
-                            ) from exc
-                        assert exc is not None
-                        raise exc
                     # Graceful degradation: one in-process replay.  A
                     # deterministic worker error re-raises here with its
                     # true traceback; a crashy-environment chunk completes.

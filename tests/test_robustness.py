@@ -33,7 +33,6 @@ from repro.core.errors import (
     CampaignError,
     CheckpointMismatch,
     ChunkTimeout,
-    WorkerCrash,
     validate_config,
     validate_netlist,
     validate_stimulus,
@@ -65,10 +64,6 @@ def _crash_once(context, item):
         flag.write_text("x")
         os._exit(13)
     return item * 2
-
-
-def _always_crash(context, item):
-    os._exit(13)
 
 
 def _hang_once(context, item):
@@ -111,14 +106,6 @@ class TestExecutorCrashRecovery:
         assert out == [2, 4]
         assert ex.last_report.serial_fallbacks == 1
         assert ex.last_report.crashes >= 1
-
-    def test_persistent_crash_without_fallback_raises(self, multicore, tmp_path):
-        ex = ParallelExecutor(
-            n_jobs=2, chunk_size=2, max_retries=1, backoff=0.01, serial_fallback=False
-        )
-        with pytest.raises(WorkerCrash):
-            ex.run(_always_crash, [1, 2], None)
-        assert ex.last_report.crashes >= 2  # initial attempt + retry
 
     def test_worker_exception_is_retried_then_reraised(self, multicore):
         ex = ParallelExecutor(n_jobs=2, chunk_size=2, max_retries=1, backoff=0.01)

@@ -6,8 +6,9 @@ coalescing (one compute for N concurrent identical requests),
 backpressure (503 + ``Retry-After`` at queue depth), per-request
 deadlines (504, quarantine, worker slot reclaimed), crash-retry with
 checkpoint resume (bit-identical to a cold single-threaded run),
-graceful drain, structured JSON errors, fail-fast upload validation,
-client retry behavior against a flaky stub server, multi-endpoint
+the worker-claim vs deadline-cancel race, ``BaseException`` containment
+in computes, graceful drain, structured JSON errors, fail-fast upload
+validation (with Hypothesis fuzzing), client retry behavior against a flaky stub server, multi-endpoint
 failover with one of two serve processes SIGKILLed, and the combined
 chaos scenario.
 """
@@ -27,6 +28,8 @@ from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.cli import main
 from repro.core.errors import (
@@ -36,13 +39,13 @@ from repro.core.errors import (
     WorkerCrash,
     is_retryable,
 )
-from repro.netlist.bench import parse_bench_upload
-from repro.netlist.verilog import parse_verilog_upload
+from repro.netlist.bench import parse_bench_upload, write_bench
+from repro.netlist.verilog import parse_verilog_upload, write_verilog
 from repro.store.cache import CampaignStore
 from repro.store.client import RemoteStoreError, StoreClient
 from repro.store.fingerprint import digest
 from repro.store.server import make_server
-from repro.store.service import CampaignService
+from repro.store.service import CampaignService, job_key
 from repro.testing.chaos import ServiceChaos
 
 
@@ -342,6 +345,125 @@ def test_crash_retry_resumes_from_journal_bit_identical(served, tmp_path):
     assert report == cold_report
 
 
+# ------------------------------------------------------------ worker claim
+def test_cancelled_job_never_computes_outside_admission(tmp_path):
+    """A waiter's deadline cancel and a worker's claim cannot interleave:
+    once a worker has claimed a job it stays admitted until it finishes,
+    so its compute is always visible to in_flight, the queue bound and
+    drain -- never a hidden compute beside a re-admitted twin."""
+    store = CampaignStore(tmp_path / "store")
+    publish = _publishing_compute(store)
+    seen_in_flight: list[int] = []
+
+    def compute(design, threshold):
+        seen_in_flight.append(service.stats()["service"]["in_flight"])
+        return publish(design, threshold)
+
+    service = CampaignService(
+        store, compute=compute, workers=1, request_timeout=0.5
+    ).start()
+    run_job = service._run_job
+
+    def claimed_then_stalled(job):
+        # the worker has claimed the job; hold it until the only waiter
+        # has given up, the window in which a cancel used to slip in
+        _wait_until(
+            lambda: service.stats()["service"]["deadline_expired"] >= 1,
+            message="waiter deadline expired",
+        )
+        run_job(job)
+
+    service._run_job = claimed_then_stalled
+    try:
+        with pytest.raises(DeadlineExceeded):
+            service.campaign("facet", 0.05)
+        _wait_until(lambda: seen_in_flight, message="claimed job computed")
+        assert seen_in_flight == [1]
+        assert service.drain(grace=10.0) is True
+        assert service.stats()["computed"] == 1
+    finally:
+        service.stop()
+
+
+def test_claim_cancel_stress_every_compute_is_admitted(tmp_path):
+    """Many short-deadline requests over more workers than cores, with
+    a tiny switch interval: every compute that starts belongs to a job
+    still admitted (or quarantined after its own deadline), never to
+    one a waiter already cancelled."""
+    store = CampaignStore(tmp_path / "store")
+    publish = _publishing_compute(store)
+    orphans: list = []
+
+    def compute(design, threshold):
+        key = job_key(design, threshold)
+        with service._lock:
+            if key not in service._jobs and key not in service._quarantine:
+                orphans.append((design, threshold))
+        time.sleep(0.002)
+        return publish(design, threshold)
+
+    service = CampaignService(
+        store, compute=compute, workers=4, queue_depth=64, request_timeout=0.02
+    ).start()
+
+    def client(seed):
+        for i in range(10):
+            try:
+                service.campaign("facet", round(0.01 * ((seed * 7 + i) % 40 + 1), 2))
+            except (DeadlineExceeded, ServiceOverloaded):
+                pass
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        threads = [threading.Thread(target=client, args=(n,)) for n in range(8)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+        assert not any(t.is_alive() for t in threads)
+    finally:
+        sys.setswitchinterval(interval)
+    try:
+        assert service.drain(grace=30.0) is True
+        stats = service.stats()
+        # both sides of the race ran: computes, and waiters giving up
+        assert stats["computed"] >= 1
+        assert stats["service"]["deadline_expired"] >= 1
+        assert orphans == []
+    finally:
+        service.stop()
+
+
+def test_base_exception_in_compute_reaches_waiter_and_pool_survives(tmp_path):
+    """A compute that dies with a non-``Exception`` ``BaseException``
+    cannot take a worker with it: the attempt runs on a disposable
+    thread that ferries the error to the waiter, and the same fixed
+    pool serves the next miss."""
+    store = CampaignStore(tmp_path / "store")
+    publish = _publishing_compute(store)
+
+    def compute(design, threshold):
+        if design == "diffeq":
+            raise SystemExit("compute hook called sys.exit")
+        return publish(design, threshold)
+
+    service = CampaignService(store, compute=compute, workers=1).start()
+    try:
+        workers = service.stats()["service"]["workers"]
+        with pytest.raises(SystemExit, match="sys.exit"):
+            service.campaign("diffeq", 0.05)
+        assert service.stats()["service"]["compute_errors"] == 1
+        # the single worker survived and computes the next miss
+        assert service.campaign("facet", 0.05)["design"] == "facet"
+        stats = service.stats()
+        assert stats["computed"] == 1
+        assert stats["service"]["workers"] == workers
+        assert all(t.is_alive() for t in service._threads)
+    finally:
+        service.stop()
+
+
 # ------------------------------------------------------------------- drain
 def test_graceful_drain_finishes_in_flight_then_refuses(tmp_path):
     store = CampaignStore(tmp_path / "store")
@@ -460,6 +582,61 @@ def test_parse_verilog_upload_typed_errors():
         parse_verilog_upload("module broken (a);\n  frobnicate g0(a);\nendmodule\n")
     with pytest.raises(InputValidationError, match="no connections"):
         parse_verilog_upload("module b (a);\n  input a;\n  and g0();\nendmodule\n")
+
+
+@st.composite
+def _mutated_lines(draw, text: str) -> str:
+    """``text`` after a few random line deletions, insertions, swaps and
+    truncations -- the shapes of a hand-edited or cut-off upload."""
+    lines = text.splitlines()
+    for _ in range(draw(st.integers(1, 4))):
+        if not lines:
+            break
+        op = draw(st.sampled_from(("delete", "insert", "swap", "truncate")))
+        i = draw(st.integers(0, len(lines) - 1))
+        if op == "delete":
+            del lines[i]
+        elif op == "insert":
+            lines.insert(i, draw(st.sampled_from(lines) | st.text(max_size=40)))
+        elif op == "swap":
+            j = draw(st.integers(0, len(lines) - 1))
+            lines[i], lines[j] = lines[j], lines[i]
+        else:
+            flat = "\n".join(lines)
+            lines = flat[: draw(st.integers(0, len(flat)))].splitlines()
+    return "\n".join(lines) + "\n"
+
+
+def _parses_or_rejects(parse, text: str) -> None:
+    """The upload contract: a netlist or a typed 400, nothing else."""
+    try:
+        parse(text)
+    except InputValidationError:
+        pass
+
+
+_UPLOAD_FUZZ = settings(max_examples=40, deadline=None)
+
+
+@_UPLOAD_FUZZ
+@given(data=st.data())
+def test_fuzz_bench_upload_mutations(facet_system, data):
+    text = data.draw(_mutated_lines(write_bench(facet_system.netlist)))
+    _parses_or_rejects(parse_bench_upload, text)
+
+
+@_UPLOAD_FUZZ
+@given(data=st.data())
+def test_fuzz_verilog_upload_mutations(facet_system, data):
+    text = data.draw(_mutated_lines(write_verilog(facet_system.netlist)))
+    _parses_or_rejects(parse_verilog_upload, text)
+
+
+@_UPLOAD_FUZZ
+@given(text=st.text(max_size=200))
+def test_fuzz_upload_raw_text(text):
+    _parses_or_rejects(parse_bench_upload, text)
+    _parses_or_rejects(parse_verilog_upload, text)
 
 
 def test_upload_endpoint(served):
@@ -746,106 +923,6 @@ def test_kill_a_node_zero_failures_bit_identical(tmp_path):
                 proc.kill()
             proc.wait(timeout=10)
             proc.stdout.close()
-
-
-# ------------------------------------------------------- worker supervisor
-#: WorkerKilled escaping the worker loop IS the scenario under test --
-#: pytest's unhandled-thread-exception watchdog must not flag it.
-_lets_threads_die = pytest.mark.filterwarnings(
-    "ignore::pytest.PytestUnhandledThreadExceptionWarning"
-)
-
-
-@_lets_threads_die
-def test_supervisor_restarts_killed_workers_and_requeues(tmp_path):
-    """A worker thread dying mid-claim loses nothing: the supervisor
-    requeues the claimed job, restarts the worker, and the original
-    request is served as if nothing happened."""
-    store = CampaignStore(tmp_path / "store")
-    chaos = ServiceChaos(kill_worker=("facet",), kill_attempts=2)
-    service = CampaignService(
-        store,
-        compute=_publishing_compute(store),
-        workers=2,
-        on_job=chaos.on_job,
-        supervise_interval=0.02,
-        restart_backoff=0.005,
-        crash_budget=10,
-    ).start()
-    try:
-        report = service.campaign("facet", 0.05)
-        assert report["design"] == "facet"
-        assert chaos.workers_killed == 2
-        stats = service.stats()["service"]
-        assert stats["worker_crashes"] == 2
-        assert stats["requeued_jobs"] == 2
-        _wait_until(
-            lambda: service.stats()["service"]["workers_alive"] == 2,
-            message="pool back to full strength",
-        )
-        # both dead workers were replaced (restarts, not the initial pool)
-        assert service.stats()["service"]["worker_restarts"] >= 2
-    finally:
-        service.stop()
-
-
-@_lets_threads_die
-def test_crash_budget_breaker_degrades_to_cache_only_then_recovers(tmp_path):
-    store = CampaignStore(tmp_path / "store")
-    _publish(store, "facet", 0.05)  # warm cache survives the outage
-    chaos = ServiceChaos(kill_worker=("diffeq",), kill_attempts=99)
-    service = CampaignService(
-        store,
-        compute=_publishing_compute(store),
-        workers=2,
-        on_job=chaos.on_job,
-        supervise_interval=0.02,
-        restart_backoff=0.005,
-        crash_budget=3,
-        crash_window=30.0,
-        pool_cooldown=60.0,  # long: the down state stays stable under asserts
-    ).start()
-    try:
-        # a poisonous miss keeps killing workers until the budget trips
-        miss = threading.Thread(
-            target=lambda: _swallow(service, "diffeq"), daemon=True
-        )
-        miss.start()
-        _wait_until(
-            lambda: service.stats()["service"]["cache_only"],
-            message="crash budget tripped",
-        )
-        # cache-only mode: warm traffic serves, misses get a typed 503
-        assert service.campaign("facet", 0.05)["design"] == "facet"
-        with pytest.raises(ServiceOverloaded, match="pool is down"):
-            service.campaign("poly", 0.05)
-        assert service.stats()["service"]["rejected_pool_down"] >= 1
-        # degraded but *ready*: the node stays in rotation for its cache
-        ok, detail = service.ready()
-        assert ok is True and detail["cache_only"] is True
-        # stop the killing and collapse the cool-down (waiting out a
-        # realistic one would be a wall-clock sleep, the thing this suite
-        # bans); the supervisor's next heartbeat half-opens the breaker
-        service.on_job = None
-        with service._lock:
-            service._pool_down_until = 0.0
-        _wait_until(
-            lambda: (
-                not service.stats()["service"]["cache_only"]
-                and service.stats()["service"]["workers_alive"] == 2
-            ),
-            message="pool recovered after cool-down",
-        )
-        assert service.campaign("poly", 0.05)["design"] == "poly"
-    finally:
-        service.stop()
-
-
-def _swallow(service, design):
-    try:
-        service.campaign(design, 0.05)
-    except Exception:
-        pass
 
 
 def test_client_against_real_server(served):
